@@ -1,6 +1,8 @@
-//! The 2-D line-buffer convolution kernels against a native reference:
-//! interior pixels must match a direct 3×3 convolution exactly; the
-//! streaming structure must synthesize with BRAM line buffers.
+//! The 2-D line-buffer convolution kernels against a direct Rust 3×3
+//! convolution: interior pixels must match it exactly; the streaming
+//! structure must synthesize with BRAM line buffers. Executor agreement
+//! on these kernels (lane VM and scalar VM vs the interpreter) is the
+//! job of `crates/kernel/tests/prop_lanes.rs`.
 
 use accelsoc_apps::image::synthetic_scene;
 use accelsoc_apps::kernels::{gauss2d_core, sobel2d_core};

@@ -410,11 +410,11 @@ impl FlowEngine {
         &self.hls_cache
     }
 
-    /// The kernel's execution unit (VM bytecode + native threaded
-    /// code), compiled and lowered at most once per engine: keyed by
+    /// The kernel's execution unit (VM bytecode run on the lane VM, the
+    /// production executor), compiled at most once per engine: keyed by
     /// the same content digest as the HLS cache, so the thousands of
     /// invocations a batch or serving run makes of the same four
-    /// kernels share one lowered form. Each actual compile is reported
+    /// kernels share one compiled form. Each actual compile is reported
     /// as [`FlowEvent::KernelCompiled`], each cache hit as
     /// [`FlowEvent::KernelVmCacheHit`]; the cache's lifetime hit/miss
     /// tallies land in `FlowMetrics::vm_compile_hits`/`_misses`.
@@ -422,15 +422,6 @@ impl FlowEngine {
         let key = CacheKey::compute(kernel, &self.options.hls);
         self.vm_cache
             .get_or_compile(key, kernel, self.options.observer.as_ref())
-    }
-
-    /// The kernel lowered to VM bytecode — the tier-2 artifact inside
-    /// [`FlowEngine::exec_unit`] (kept for op-level introspection).
-    pub fn compiled_kernel(
-        &self,
-        kernel: &Kernel,
-    ) -> Arc<accelsoc_kernel::compile::CompiledKernel> {
-        self.exec_unit(kernel).compiled().clone()
     }
 
     /// Engine-lifetime VM-cache hit/miss tallies.

@@ -285,14 +285,15 @@ impl HlsCache {
     }
 }
 
-/// In-memory cache of kernels lowered to execution units (VM bytecode +
-/// native threaded code), keyed by the same content digest as the HLS
+/// In-memory cache of kernels compiled to execution units (VM bytecode
+/// run on the lane VM, the production executor; see
+/// [`accelsoc_kernel::exec`]), keyed by the same content digest as the HLS
 /// cache: equal [`CacheKey`]s imply identical kernel IR (the key also
 /// covers directives and HLS options, which the VM ignores — the cost
 /// is at most a few redundant compiles, never a stale hit). Compilation
 /// is cheap relative to synthesis but sits on the batch/serve hot path,
 /// where the same four Otsu kernels execute thousands of times; one
-/// compile + lowering per distinct kernel amortizes to nothing.
+/// compile per distinct kernel amortizes to nothing.
 /// Shareable across threads; hold it in an `Arc` next to the
 /// [`HlsCache`].
 ///
@@ -321,12 +322,12 @@ impl VmCache {
         self.lock().is_empty()
     }
 
-    /// Lookups satisfied by an already-lowered unit, cache-lifetime.
+    /// Lookups satisfied by an already-compiled unit, cache-lifetime.
     pub fn hits(&self) -> u64 {
         self.hits.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Lookups that compiled + lowered, cache-lifetime.
+    /// Lookups that compiled, cache-lifetime.
     pub fn misses(&self) -> u64 {
         self.misses.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -338,8 +339,8 @@ impl VmCache {
         self.mem.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Fetch the execution unit for `kernel` under `key`, compiling and
-    /// lowering it on a miss. Each actual compile is reported as
+    /// Fetch the execution unit for `kernel` under `key`, compiling it
+    /// on a miss. Each actual compile is reported as
     /// [`FlowEvent::KernelCompiled`], each hit as
     /// [`FlowEvent::KernelVmCacheHit`].
     pub fn get_or_compile(

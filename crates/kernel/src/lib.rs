@@ -15,15 +15,22 @@
 //! Two consumers share this IR:
 //!
 //! 1. the **interpreter** ([`interp`]) — the analogue of HLS "C simulation"
-//!    and the functional model executed by the platform simulator, and
+//!    and the reference semantics every executor is checked against, and
 //! 2. the **HLS simulator** (`accelsoc-hls`) — which schedules and binds
 //!    the operations to estimate latency, II and resources and to emit RTL.
 //!
 //! Hot paths execute through a third consumer: the bytecode **compiler**
-//! ([`compile`]) + register **VM** ([`vm`]), a drop-in replacement for the
-//! interpreter that lowers the IR once and then runs a flat op stream with
-//! dense indices instead of walking the tree with string lookups. The
-//! interpreter remains the differential oracle (see `tests/prop_vm.rs`).
+//! ([`compile`]), which lowers the IR once into a flat op stream with
+//! dense indices instead of a tree with string lookups. Three executors
+//! run a kernel, all bit-identical by contract:
+//!
+//! * the batch-lane **VM** ([`lanes`]) — the production executor; every
+//!   runtime call goes through [`ExecUnit`], which runs a scalar call as
+//!   a one-lane batch;
+//! * the scalar register **VM** ([`vm`]) — the second differential
+//!   implementation and the baseline of the lane-speedup gate;
+//! * the **interpreter** ([`interp`]) — the differential oracle (see
+//!   `tests/prop_vm.rs` and `tests/prop_lanes.rs`).
 
 pub mod analysis;
 pub mod builder;
@@ -32,7 +39,6 @@ pub mod exec;
 pub mod interp;
 pub mod ir;
 pub mod lanes;
-pub mod native;
 pub mod types;
 pub mod verify;
 pub mod vm;
@@ -43,6 +49,5 @@ pub use exec::ExecUnit;
 pub use interp::{ExecError, ExecStats, Interpreter, StreamBundle};
 pub use ir::{BinOp, Expr, Kernel, LValue, Param, ParamKind, Stmt, UnOp};
 pub use lanes::BatchOutcome;
-pub use native::NativeKernel;
 pub use types::Ty;
 pub use verify::VerifyError;

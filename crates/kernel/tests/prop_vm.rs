@@ -1,10 +1,10 @@
-//! Differential property test: the bytecode VM is observationally
-//! identical to the tree-walking interpreter on randomly generated
-//! well-typed kernels — same scalar outputs, same stream contents
-//! (including tokens left unconsumed on input streams), same
-//! [`ExecStats`], and the same typed error when execution fails
-//! (underflow, out-of-bounds, divide-by-zero, shift range, missing
-//! scalar input, step limit).
+//! Differential property test: the scalar bytecode VM and the
+//! batch-lane VM are observationally identical to the tree-walking
+//! interpreter on randomly generated well-typed kernels — same scalar
+//! outputs, same stream contents (including tokens left unconsumed on
+//! input streams), same [`ExecStats`], and the same typed error when
+//! execution fails (underflow, out-of-bounds, divide-by-zero, shift
+//! range, missing scalar input, step limit).
 //!
 //! The generator only produces kernels the verifier accepts: every name
 //! it references is declared, writes go to scalar-out params and
@@ -294,56 +294,82 @@ fn kernel_case(seed: u64) -> (Kernel, HashMap<String, i64>, Vec<(String, Vec<i64
 
 const STEP_LIMIT: u64 = 200_000;
 
-fn run_both(
-    kernel: &Kernel,
-    inputs: &HashMap<String, i64>,
-    feeds: &[(String, Vec<i64>)],
-) -> (
-    Result<ExecOutcome, ExecError>,
-    StreamBundle,
-    Result<ExecOutcome, ExecError>,
-    StreamBundle,
-) {
-    let mut si = StreamBundle::new();
-    let mut sv = StreamBundle::new();
+fn bundle_of(feeds: &[(String, Vec<i64>)]) -> StreamBundle {
+    let mut b = StreamBundle::new();
     for (port, tokens) in feeds {
-        si.feed(port, tokens.iter().copied());
-        sv.feed(port, tokens.iter().copied());
+        b.feed(port, tokens.iter().copied());
     }
-    let ri = Interpreter::with_step_limit(kernel, STEP_LIMIT).run(inputs, &mut si);
-    let rv = CompiledKernel::compile(kernel).run_with_step_limit(inputs, &mut sv, STEP_LIMIT);
-    (ri, si, rv, sv)
+    b
+}
+
+/// Engine `b` (run on bundle `sb`) against the interpreter's result `a`
+/// (on `sa`): scalar outputs and stats, or the same typed error; the
+/// same output streams; the same leftover input tokens (the engines
+/// must consume exactly the same prefix, even on error paths).
+fn assert_same(
+    tag: &str,
+    seed: u64,
+    a: &Result<ExecOutcome, ExecError>,
+    sa: &StreamBundle,
+    b: &Result<ExecOutcome, ExecError>,
+    sb: &StreamBundle,
+    feeds: &[(String, Vec<i64>)],
+) {
+    match (a, b) {
+        (Ok(x), Ok(y)) => {
+            prop_assert_eq!(
+                &x.scalar_outputs,
+                &y.scalar_outputs,
+                "{} seed {}",
+                tag,
+                seed
+            );
+            prop_assert_eq!(&x.stats, &y.stats, "{} seed {}", tag, seed);
+        }
+        (Err(x), Err(y)) => prop_assert_eq!(x, y, "{} seed {}", tag, seed),
+        _ => panic!("{tag} seed {seed}: interp {a:?} vs {b:?}"),
+    }
+    // Output streams: same ports in the same order, same tokens.
+    let ao: Vec<_> = sa.outputs().collect();
+    let bo: Vec<_> = sb.outputs().collect();
+    prop_assert_eq!(ao, bo, "{} seed {}", tag, seed);
+    for (port, _) in feeds {
+        prop_assert_eq!(
+            sa.input_queue(port),
+            sb.input_queue(port),
+            "{} seed {} leftover on {}",
+            tag,
+            seed,
+            port
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
+    /// The scalar VM and every lane of the batch-lane VM (the
+    /// production executor) at K ∈ {1, 3}, each lane running the same
+    /// case, match the interpreter.
     #[test]
     fn vm_is_observationally_identical_to_interpreter(seed in any::<u64>()) {
         let (kernel, inputs, feeds) = kernel_case(seed);
-        let (ri, si, rv, sv) = run_both(&kernel, &inputs, &feeds);
-        match (&ri, &rv) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a.scalar_outputs, &b.scalar_outputs, "seed {}", seed);
-                prop_assert_eq!(&a.stats, &b.stats, "seed {}", seed);
+        let mut si = bundle_of(&feeds);
+        let ri = Interpreter::with_step_limit(&kernel, STEP_LIMIT).run(&inputs, &mut si);
+        let ck = CompiledKernel::compile(&kernel);
+
+        let mut sv = bundle_of(&feeds);
+        let rv = ck.run_with_step_limit(&inputs, &mut sv, STEP_LIMIT);
+        assert_same("vm", seed, &ri, &si, &rv, &sv, &feeds);
+
+        for k in [1usize, 3] {
+            let lane_inputs = vec![inputs.clone(); k];
+            let mut bundles: Vec<StreamBundle> = (0..k).map(|_| bundle_of(&feeds)).collect();
+            let out = ck.run_batch_with_step_limit(&lane_inputs, &mut bundles, STEP_LIMIT);
+            prop_assert_eq!(out.lanes.len(), k);
+            for (l, (rl, sl)) in out.lanes.iter().zip(&bundles).enumerate() {
+                assert_same(&format!("k{k}/lane{l}"), seed, &ri, &si, rl, sl, &feeds);
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b, "seed {}", seed),
-            _ => panic!("seed {seed}: interp {ri:?} vs vm {rv:?}"),
-        }
-        // Output streams: same ports in the same order, same tokens.
-        let io: Vec<_> = si.outputs().collect();
-        let vo: Vec<_> = sv.outputs().collect();
-        prop_assert_eq!(io, vo, "seed {}", seed);
-        // Input streams: identical leftover tokens (the engines must
-        // consume exactly the same prefix, even on error paths).
-        for (port, _) in &feeds {
-            prop_assert_eq!(
-                si.input_queue(port),
-                sv.input_queue(port),
-                "seed {} leftover on {}",
-                seed,
-                port
-            );
         }
     }
 }

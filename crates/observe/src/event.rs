@@ -117,9 +117,9 @@ pub enum FlowEvent {
     /// relative to distinct kernels means compiled code is not being
     /// reused across invocations.
     KernelCompiled { kernel: String },
-    /// A VM-cache lookup was satisfied by an already-lowered execution
-    /// unit — the batch/serve hot paths hitting compiled code instead
-    /// of paying compile + native lowering again.
+    /// A VM-cache lookup was satisfied by an already-compiled execution
+    /// unit — the batch/serve hot paths hitting compiled lane-VM code
+    /// instead of paying the compile again.
     KernelVmCacheHit { kernel: String },
     /// One kernel finished HLS: scheduling and resource statistics from
     /// its synthesis report.
