@@ -10,6 +10,7 @@
 use accelsoc_kernel::builder::*;
 use accelsoc_kernel::ir::Kernel;
 use accelsoc_kernel::types::Ty;
+use std::sync::OnceLock;
 
 /// Maximum supported pixel count (20-bit pixel counters).
 pub const MAX_PIXELS: u32 = 1 << 20;
@@ -200,6 +201,27 @@ pub fn otsu_kernels() -> Vec<Kernel> {
         half_probability(),
         segment(),
     ]
+}
+
+/// The four Otsu kernel IRs, by field.
+pub struct OtsuIr {
+    pub grayscale: Kernel,
+    pub compute_histogram: Kernel,
+    pub half_probability: Kernel,
+    pub segment: Kernel,
+}
+
+/// The four Otsu kernels, built once per process. The application runner
+/// borrows these for every software stage of every lane group instead of
+/// rebuilding the IR per call.
+pub fn otsu_ir() -> &'static OtsuIr {
+    static IR: OnceLock<OtsuIr> = OnceLock::new();
+    IR.get_or_init(|| OtsuIr {
+        grayscale: grayscale(),
+        compute_histogram: compute_histogram(),
+        half_probability: half_probability(),
+        segment: segment(),
+    })
 }
 
 // --- Fig. 4 demo kernels -------------------------------------------------

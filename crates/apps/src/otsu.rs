@@ -431,6 +431,7 @@ pub fn run_application_group(
     cfg: &AppConfig,
 ) -> Result<GroupExec, AppError> {
     let k = images.len();
+    let ir = crate::kernels::otsu_ir();
     let mut g = LaneGroup {
         engine,
         boards: Vec::with_capacity(k),
@@ -466,13 +467,7 @@ pub fn run_application_group(
             .iter()
             .map(|&l| HashMap::from([("n".to_string(), images[l].data.len() as i64)]))
             .collect();
-        g.sw_stage(
-            &crate::kernels::grayscale(),
-            "grayScale",
-            &lanes,
-            scalars,
-            &mut bundles,
-        );
+        g.sw_stage(&ir.grayscale, "grayScale", &lanes, scalars, &mut bundles);
         for (i, &l) in lanes.iter().enumerate() {
             if g.failed[l].is_none() {
                 gray[l] = bundles[i].output("imageOutCH").to_vec();
@@ -497,7 +492,7 @@ pub fn run_application_group(
             .map(|&l| HashMap::from([("n".to_string(), images[l].data.len() as i64)]))
             .collect();
         g.sw_stage(
-            &crate::kernels::compute_histogram(),
+            &ir.compute_histogram,
             "histogram",
             &lanes,
             scalars,
@@ -556,7 +551,7 @@ pub fn run_application_group(
             .collect();
         let scalars = lanes.iter().map(|_| HashMap::new()).collect();
         g.sw_stage(
-            &crate::kernels::half_probability(),
+            &ir.half_probability,
             "otsuMethod",
             &lanes,
             scalars,
@@ -589,13 +584,7 @@ pub fn run_application_group(
             .iter()
             .map(|&l| HashMap::from([("n".to_string(), images[l].data.len() as i64)]))
             .collect();
-        g.sw_stage(
-            &crate::kernels::segment(),
-            "binarization",
-            &lanes,
-            scalars,
-            &mut bundles,
-        );
+        g.sw_stage(&ir.segment, "binarization", &lanes, scalars, &mut bundles);
         for (i, &l) in lanes.iter().enumerate() {
             if g.failed[l].is_none() {
                 seg[l] = Some(

@@ -143,6 +143,15 @@ impl Mm2sTransfer {
                 beat_bytes,
             });
         }
+        // A descriptor longer than the memory is out of range before it
+        // is an allocation of `desc.len` bytes.
+        if desc.len > mem.size() {
+            return Err(DmaError::Mem(MemError::OutOfRange {
+                addr: desc.addr,
+                len: usize::try_from(desc.len).unwrap_or(usize::MAX),
+                size: mem.size(),
+            }));
+        }
         let mut buf = vec![0u8; desc.len as usize];
         mem.read(desc.addr, &mut buf)?;
         Ok(Mm2sTransfer {
@@ -391,6 +400,51 @@ impl DmaEngine {
 mod tests {
     use super::*;
     use crate::protocol::VecMemory;
+
+    #[test]
+    fn descriptors_past_the_address_space_are_typed_errors() {
+        let mut mem = VecMemory::new(256);
+        let mut dma = DmaEngine::new("dma0");
+        let out_of_range = |r: Result<DmaStats, DmaError>| {
+            matches!(r, Err(DmaError::Mem(MemError::OutOfRange { .. })))
+        };
+        for desc in [
+            DmaDescriptor {
+                addr: u64::MAX - 3,
+                len: 8,
+            },
+            DmaDescriptor {
+                addr: 0,
+                len: u64::MAX,
+            },
+            DmaDescriptor {
+                addr: u64::MAX,
+                len: u64::MAX,
+            },
+        ] {
+            let mut ch = AxiStreamChannel::new("s", 8, 64);
+            assert!(out_of_range(dma.mm2s(&mut mem, desc, &mut ch)), "{desc:?}");
+            assert!(ch.pop().is_none(), "nothing may be streamed");
+        }
+        let mut ch = AxiStreamChannel::new("s", 8, 64);
+        for i in 0..8u64 {
+            ch.push(Beat {
+                data: i,
+                last: i == 7,
+            })
+            .unwrap();
+        }
+        let desc = DmaDescriptor {
+            addr: u64::MAX - 3,
+            len: 8,
+        };
+        assert!(out_of_range(dma.s2mm(&mut mem, desc, &mut ch)));
+        assert_eq!(
+            dma.total,
+            DmaStats::default(),
+            "failed transfers count nothing"
+        );
+    }
 
     #[test]
     fn mm2s_then_s2mm_roundtrips_data() {

@@ -63,32 +63,32 @@ impl VecMemory {
     pub fn as_slice(&self) -> &[u8] {
         &self.data
     }
+
+    /// The byte range `[addr, addr + len)`, or `OutOfRange` if any of it
+    /// lies past the end — including when `addr + len` would overflow.
+    fn range(&self, addr: u64, len: usize) -> Result<std::ops::Range<usize>, MemError> {
+        usize::try_from(addr)
+            .ok()
+            .and_then(|start| Some(start..start.checked_add(len)?))
+            .filter(|r| r.end <= self.data.len())
+            .ok_or(MemError::OutOfRange {
+                addr,
+                len,
+                size: self.data.len() as u64,
+            })
+    }
 }
 
 impl MemoryPort for VecMemory {
     fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), MemError> {
-        let end = addr as usize + buf.len();
-        if end > self.data.len() {
-            return Err(MemError::OutOfRange {
-                addr,
-                len: buf.len(),
-                size: self.data.len() as u64,
-            });
-        }
-        buf.copy_from_slice(&self.data[addr as usize..end]);
+        let range = self.range(addr, buf.len())?;
+        buf.copy_from_slice(&self.data[range]);
         Ok(())
     }
 
     fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
-        let end = addr as usize + data.len();
-        if end > self.data.len() {
-            return Err(MemError::OutOfRange {
-                addr,
-                len: data.len(),
-                size: self.data.len() as u64,
-            });
-        }
-        self.data[addr as usize..end].copy_from_slice(data);
+        let range = self.range(addr, data.len())?;
+        self.data[range].copy_from_slice(data);
         Ok(())
     }
 
@@ -125,6 +125,27 @@ mod tests {
         );
         let mut buf = [0u8; 8];
         assert!(m.read(12, &mut buf).is_err());
+    }
+
+    #[test]
+    fn addresses_near_u64_max_are_out_of_range_not_a_panic() {
+        let mut m = VecMemory::new(16);
+        for addr in [u64::MAX, u64::MAX - 3, 1 << 63] {
+            let err = m.write(addr, &[0; 8]).unwrap_err();
+            assert_eq!(
+                err,
+                MemError::OutOfRange {
+                    addr,
+                    len: 8,
+                    size: 16
+                }
+            );
+            let mut buf = [0u8; 8];
+            assert!(matches!(
+                m.read(addr, &mut buf),
+                Err(MemError::OutOfRange { .. })
+            ));
+        }
     }
 
     #[test]

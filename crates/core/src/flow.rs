@@ -412,16 +412,16 @@ impl FlowEngine {
 
     /// The kernel's execution unit (VM bytecode run on the lane VM, the
     /// production executor), compiled at most once per engine: keyed by
-    /// the same content digest as the HLS cache, so the thousands of
-    /// invocations a batch or serving run makes of the same four
-    /// kernels share one compiled form. Each actual compile is reported
-    /// as [`FlowEvent::KernelCompiled`], each cache hit as
+    /// the kernel IR itself (compiling ignores the HLS options), so the
+    /// thousands of invocations a batch or serving run makes of the same
+    /// four kernels share one compiled form, and a lookup costs an IR
+    /// comparison rather than a content digest. Each actual compile is
+    /// reported as [`FlowEvent::KernelCompiled`], each cache hit as
     /// [`FlowEvent::KernelVmCacheHit`]; the cache's lifetime hit/miss
     /// tallies land in `FlowMetrics::vm_compile_hits`/`_misses`.
     pub fn exec_unit(&self, kernel: &Kernel) -> Arc<accelsoc_kernel::ExecUnit> {
-        let key = CacheKey::compute(kernel, &self.options.hls);
         self.vm_cache
-            .get_or_compile(key, kernel, self.options.observer.as_ref())
+            .get_or_compile(kernel, self.options.observer.as_ref())
     }
 
     /// Engine-lifetime VM-cache hit/miss tallies.
@@ -1025,6 +1025,21 @@ mod tests {
         assert_eq!(art.metrics.hls_cache_hits, 0);
         assert_eq!(art.metrics.hls_cache_misses, 2);
         assert_eq!(shared.len(), 4);
+    }
+
+    /// Compiling to an execution unit depends on the kernel IR alone, so
+    /// a new HLS configuration (which does re-key synthesis, above)
+    /// reuses the unit the engine already holds.
+    #[test]
+    fn hls_options_change_does_not_recompile_exec_units() {
+        let mut e = FlowEngine::new(FlowOptions::default());
+        let k = inc_kernel("S1");
+        let before = e.exec_unit(&k);
+        e.options.hls.lib.clock_ns /= 2.0;
+        let after = e.exec_unit(&inc_kernel("S1"));
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(e.vm_cache_counters(), (1, 1));
+        assert_eq!(e.compiled_kernels(), 1);
     }
 
     #[test]

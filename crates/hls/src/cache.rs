@@ -18,10 +18,15 @@
 //!   misses and reported as [`FlowEvent::HlsCacheCorrupt`]; writes go
 //!   through a unique temp file followed by an atomic rename, so
 //!   concurrent writers never tear an entry.
+//!
+//! [`VmCache`] is the other cache here, for compiled execution units. It
+//! sits on the per-image hot path and compiling reads nothing but the
+//! IR, so it is keyed by the IR itself, not by a [`CacheKey`].
 
 use crate::directives::DirectivesFile;
 use crate::project::{synthesize_kernel_observed, HlsError, HlsOptions, HlsResult};
 use accelsoc_kernel::ir::Kernel;
+use accelsoc_kernel::ExecUnit;
 use accelsoc_observe::{FlowEvent, FlowObserver};
 use std::collections::HashMap;
 use std::fmt;
@@ -29,7 +34,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Version header of the on-disk entry format. Bump when the entry
 /// schema or the [`HlsResult`] encoding changes shape; readers treat
@@ -41,11 +46,16 @@ pub const CACHE_FORMAT_VERSION: u64 = 1;
 /// entries are orphaned rather than wrongly reused.
 const KEY_DOMAIN: &str = "accelsoc-hls-cache-key-v1";
 
-const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
+/// The standard FNV-1a 64-bit offset basis: the usual `seed` for
+/// [`fnv1a64`].
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
+/// FNV-1a over `bytes`, starting from `seed`: the one stable
+/// (platform- and run-independent) byte hash of the workspace, behind
+/// cache keys, routing ring points and output checksums.
+pub fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
     let mut h = seed;
     for &b in bytes {
         h ^= u64::from(b);
@@ -85,7 +95,7 @@ impl CacheKey {
             input.push('\n');
         }
         CacheKey {
-            hi: fnv1a64(input.as_bytes(), FNV_OFFSET_A),
+            hi: fnv1a64(input.as_bytes(), FNV1A64_OFFSET),
             lo: fnv1a64(input.as_bytes(), FNV_OFFSET_B),
         }
     }
@@ -287,13 +297,14 @@ impl HlsCache {
 
 /// In-memory cache of kernels compiled to execution units (VM bytecode
 /// run on the lane VM, the production executor; see
-/// [`accelsoc_kernel::exec`]), keyed by the same content digest as the HLS
-/// cache: equal [`CacheKey`]s imply identical kernel IR (the key also
-/// covers directives and HLS options, which the VM ignores — the cost
-/// is at most a few redundant compiles, never a stale hit). Compilation
-/// is cheap relative to synthesis but sits on the batch/serve hot path,
-/// where the same four Otsu kernels execute thousands of times; one
-/// compile per distinct kernel amortizes to nothing.
+/// [`accelsoc_kernel::exec`]), keyed by the kernel IR itself. Compiling
+/// depends on nothing but the IR (not on directives or [`HlsOptions`]),
+/// so a hit is decided by IR equality: entries are bucketed by kernel
+/// name and compared with `Kernel: PartialEq`. Unlike a digest, that
+/// cannot collide, and it hashes nothing but the name, so a lookup stays
+/// cheap on the batch/serve hot path, where the same four Otsu kernels
+/// execute thousands of times; one compile per distinct kernel amortizes
+/// to nothing.
 /// Shareable across threads; hold it in an `Arc` next to the
 /// [`HlsCache`].
 ///
@@ -303,10 +314,14 @@ impl HlsCache {
 /// hit [`FlowEvent::KernelVmCacheHit`].
 #[derive(Debug, Default)]
 pub struct VmCache {
-    mem: Mutex<HashMap<CacheKey, std::sync::Arc<accelsoc_kernel::ExecUnit>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
+    mem: Mutex<UnitsByName>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
+
+/// The [`VmCache`] store: kernel name → the distinct IRs seen under that
+/// name, each with its compiled unit.
+type UnitsByName = HashMap<String, Vec<(Kernel, Arc<ExecUnit>)>>;
 
 impl VmCache {
     pub fn new() -> VmCache {
@@ -315,56 +330,58 @@ impl VmCache {
 
     /// Number of compiled kernels held.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().values().map(Vec::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.len() == 0
     }
 
     /// Lookups satisfied by an already-compiled unit, cache-lifetime.
     pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Lookups that compiled, cache-lifetime.
     pub fn misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 
-    fn lock(
-        &self,
-    ) -> std::sync::MutexGuard<'_, HashMap<CacheKey, std::sync::Arc<accelsoc_kernel::ExecUnit>>>
-    {
+    fn lock(&self) -> std::sync::MutexGuard<'_, UnitsByName> {
         self.mem.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Fetch the execution unit for `kernel` under `key`, compiling it
-    /// on a miss. Each actual compile is reported as
-    /// [`FlowEvent::KernelCompiled`], each hit as
-    /// [`FlowEvent::KernelVmCacheHit`].
-    pub fn get_or_compile(
-        &self,
-        key: CacheKey,
-        kernel: &Kernel,
-        observer: &dyn FlowObserver,
-    ) -> std::sync::Arc<accelsoc_kernel::ExecUnit> {
-        if let Some(c) = self.lock().get(&key) {
-            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    fn find(&self, kernel: &Kernel) -> Option<Arc<ExecUnit>> {
+        self.lock()
+            .get(&kernel.name)?
+            .iter()
+            .find(|(k, _)| k == kernel)
+            .map(|(_, unit)| unit.clone())
+    }
+
+    /// Fetch the execution unit for `kernel`, compiling it on a miss.
+    /// Each actual compile is reported as [`FlowEvent::KernelCompiled`],
+    /// each hit as [`FlowEvent::KernelVmCacheHit`].
+    pub fn get_or_compile(&self, kernel: &Kernel, observer: &dyn FlowObserver) -> Arc<ExecUnit> {
+        if let Some(unit) = self.find(kernel) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             observer.on_event(&FlowEvent::KernelVmCacheHit {
                 kernel: kernel.name.clone(),
             });
-            return c.clone();
+            return unit;
         }
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let unit = std::sync::Arc::new(accelsoc_kernel::ExecUnit::new(kernel));
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let unit = Arc::new(ExecUnit::new(kernel));
         observer.on_event(&FlowEvent::KernelCompiled {
             kernel: kernel.name.clone(),
         });
-        // Under a race both threads compile; identical inputs give
-        // identical bytecode, so either insert is fine.
-        self.lock().insert(key, unit.clone());
+        // Under a race both threads compile; identical IR gives identical
+        // bytecode, so the first insert stands and the second is dropped.
+        let mut mem = self.lock();
+        let bucket = mem.entry(kernel.name.clone()).or_default();
+        if !bucket.iter().any(|(k, _)| k == kernel) {
+            bucket.push((kernel.clone(), unit.clone()));
+        }
         unit
     }
 }
@@ -634,39 +651,78 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    fn vm_events(obs: &CollectObserver) -> (usize, usize) {
+        let events = obs.events();
+        let count = |f: fn(&FlowEvent) -> bool| events.iter().filter(|e| f(e)).count();
+        (
+            count(|e| matches!(e, FlowEvent::KernelCompiled { .. })),
+            count(|e| matches!(e, FlowEvent::KernelVmCacheHit { .. })),
+        )
+    }
+
     #[test]
-    fn vm_cache_compiles_once_per_key() {
+    fn vm_cache_compiles_once_per_kernel_ir() {
         let cache = VmCache::new();
         let k = adder("add", true);
-        let key = CacheKey::compute(&k, &HlsOptions::default());
         let obs = CollectObserver::new();
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        let c1 = cache.get_or_compile(key, &k, &obs);
+        let c1 = cache.get_or_compile(&k, &obs);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let c2 = cache.get_or_compile(key, &k, &obs);
-        assert!(std::sync::Arc::ptr_eq(&c1, &c2), "hit must reuse the Arc");
+        let c2 = cache.get_or_compile(&k, &obs);
+        assert!(Arc::ptr_eq(&c1, &c2), "hit must reuse the Arc");
         assert_eq!(cache.len(), 1);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        let compiles = obs
-            .events()
-            .iter()
-            .filter(|e| matches!(e, FlowEvent::KernelCompiled { .. }))
-            .count();
-        assert_eq!(compiles, 1, "second lookup must not recompile");
-        let hit_events = obs
-            .events()
-            .iter()
-            .filter(|e| matches!(e, FlowEvent::KernelVmCacheHit { .. }))
-            .count();
-        assert_eq!(hit_events, 1, "the hit must be observable");
+        assert_eq!(vm_events(&obs), (1, 1), "one compile, one observable hit");
 
-        // A different kernel under the same cache gets its own entry.
-        let k2 = adder("add", false);
-        let key2 = CacheKey::compute(&k2, &HlsOptions::default());
-        let c3 = cache.get_or_compile(key2, &k2, &obs);
-        assert!(!std::sync::Arc::ptr_eq(&c1, &c3));
+        // A different name, same body: its own entry.
+        let c3 = cache.get_or_compile(&adder("add2", true), &obs);
+        assert!(!Arc::ptr_eq(&c1, &c3));
         assert_eq!(cache.len(), 2);
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    }
+
+    #[test]
+    fn vm_cache_same_name_different_body_compiles_twice() {
+        let cache = VmCache::new();
+        let obs = CollectObserver::new();
+        let a = cache.get_or_compile(&adder("add", true), &obs);
+        let b = cache.get_or_compile(&adder("add", false), &obs);
+        assert!(!Arc::ptr_eq(&a, &b), "distinct IR must not share a unit");
+        assert_eq!(cache.len(), 2);
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(vm_events(&obs), (2, 0));
+        // Each body still finds its own unit.
+        assert!(Arc::ptr_eq(
+            &a,
+            &cache.get_or_compile(&adder("add", true), &obs)
+        ));
+        assert!(Arc::ptr_eq(
+            &b,
+            &cache.get_or_compile(&adder("add", false), &obs)
+        ));
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+    }
+
+    #[test]
+    fn vm_cache_hits_on_ir_rebuilt_from_scratch() {
+        let cache = VmCache::new();
+        let obs = CollectObserver::new();
+        let first = cache.get_or_compile(&adder("add", true), &obs);
+        for _ in 0..3 {
+            // A fresh IR value, equal but not the same allocation.
+            let rebuilt = adder("add", true);
+            assert!(Arc::ptr_eq(&first, &cache.get_or_compile(&rebuilt, &obs)));
+        }
+        assert_eq!((cache.hits(), cache.misses()), (3, 1));
+        assert_eq!(vm_events(&obs), (1, 3));
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a64(b"", FNV1A64_OFFSET), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a", FNV1A64_OFFSET), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar", FNV1A64_OFFSET), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!
 //! `ExecUnit` compiles once and runs every call on the lane VM: a
 //! batched call is one lane group, a scalar call a one-lane batch. The
-//! engine-level `VmCache` stores one `Arc<ExecUnit>` per kernel content
-//! key, so compile cost is paid once per process per kernel.
+//! engine-level `VmCache` stores one `Arc<ExecUnit>` per distinct kernel
+//! IR (compared by equality, not digested), so compile cost is paid once
+//! per engine per kernel.
 
 use crate::compile::CompiledKernel;
 use crate::interp::{ExecError, ExecOutcome, StreamBundle};

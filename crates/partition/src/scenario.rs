@@ -32,7 +32,7 @@ use crate::plan::{BoardPlan, PlanError};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
 use accelsoc_apps::{kernels, otsu};
 use accelsoc_dse::otsu::otsu_chain_model_cached;
-use accelsoc_hls::cache::HlsCache;
+use accelsoc_hls::cache::{fnv1a64, HlsCache, FNV1A64_OFFSET};
 use accelsoc_hls::resource::ResourceEstimate;
 use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
 use accelsoc_integration::device::Device;
@@ -356,16 +356,6 @@ fn lower_to_spec(
     }
 }
 
-/// FNV-1a over the output pixels.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Run one chain's four kernels through the interpreter and compare with
 /// the scalar reference.
 fn run_chain(chain: usize, side: u32, seed: u64) -> Result<ChainResult, ExecError> {
@@ -409,7 +399,7 @@ fn run_chain(chain: usize, side: u32, seed: u64) -> Result<ChainResult, ExecErro
     Ok(ChainResult {
         chain,
         threshold,
-        checksum: fnv1a(&out),
+        checksum: fnv1a64(&out, FNV1A64_OFFSET),
         exact,
     })
 }

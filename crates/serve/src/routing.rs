@@ -9,18 +9,15 @@
 //! node — everyone else keeps their home (the property the stability
 //! test pins).
 
+use accelsoc_hls::cache::{fnv1a64, FNV1A64_OFFSET};
 use accelsoc_observe::TenantId;
 
 /// Virtual points per node: enough that tenant load spreads evenly
 /// across small clusters, few enough that building the ring is free.
 const VNODES: usize = 64;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+fn ring_hash(bytes: &[u8]) -> u64 {
+    let mut h = fnv1a64(bytes, FNV1A64_OFFSET);
     // splitmix64 finalizer: raw FNV-1a of short, similar strings
     // ("node-0:1", "node-0:2", ...) clusters on the ring; the extra
     // avalanche spreads the points uniformly.
@@ -42,7 +39,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(nodes * VNODES);
         for node in 0..nodes {
             for replica in 0..VNODES {
-                points.push((fnv1a(format!("node-{node}:{replica}").as_bytes()), node));
+                points.push((ring_hash(format!("node-{node}:{replica}").as_bytes()), node));
             }
         }
         points.sort_unstable();
@@ -55,14 +52,14 @@ impl HashRing {
 
     /// The tenant's home node, ignoring liveness.
     pub fn home(&self, tenant: &TenantId) -> usize {
-        self.route_from(fnv1a(tenant.name().as_bytes()), &vec![true; self.nodes])
+        self.route_from(ring_hash(tenant.name().as_bytes()), &vec![true; self.nodes])
             .expect("all-alive mask always routes")
     }
 
     /// First alive node clockwise of the tenant's hash; `None` when the
     /// whole cluster is dead.
     pub fn route(&self, tenant: &TenantId, alive: &[bool]) -> Option<usize> {
-        self.route_from(fnv1a(tenant.name().as_bytes()), alive)
+        self.route_from(ring_hash(tenant.name().as_bytes()), alive)
     }
 
     /// Re-route after a dead delivery: first alive node clockwise of

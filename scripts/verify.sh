@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (offline, all targets)"
 cargo build --offline --release --workspace --all-targets
 
+echo "==> cargo build --release (offline) of the benchmark package"
+# perfbench/ is a Cargo workspace of its own (path deps on the program
+# crates), so the workspace build above never compiles it. Build it here
+# so a public-API change that breaks the benchmark fails this gate.
+CARGO_TARGET_DIR=target/perfbench cargo build --offline --release \
+    --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (offline)"
 cargo test --offline --workspace -q
 
