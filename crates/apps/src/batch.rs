@@ -14,6 +14,7 @@ use crate::archs::Arch;
 use crate::image::RgbImage;
 use crate::otsu::{run_application_group, AppConfig, AppError};
 use accelsoc_core::flow::{FlowArtifacts, FlowEngine};
+use accelsoc_core::observe::nearest_rank;
 use serde::{Deserialize, Serialize};
 
 /// Lane width used when the caller doesn't pick one: wide enough to
@@ -58,13 +59,13 @@ pub struct BatchReport {
     pub ops_per_dispatch: f64,
 }
 
-/// Nearest-rank percentile (`p` in [0, 100]) over unsorted samples.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// Nearest-rank percentile (`p` in 0..=100) of samples sorted
+/// ascending; 0 for no samples.
+fn percentile(sorted: &[f64], p: u32) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len(), p)]
 }
 
 /// Run `images` through `arch` on `threads` parallel host threads (one
@@ -151,8 +152,8 @@ pub fn run_batch_lanes(
     Ok(BatchReport {
         arch: arch.name().to_string(),
         images: per_image_ns.len(),
-        p50_ns: percentile(&sorted, 50.0),
-        p99_ns: percentile(&sorted, 99.0),
+        p50_ns: percentile(&sorted, 50),
+        p99_ns: percentile(&sorted, 99),
         mean_ns,
         total_board_ns,
         images_per_sec_single_board,
@@ -180,11 +181,11 @@ mod tests {
     #[test]
     fn percentile_nearest_rank() {
         let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 50.0), 2.0);
-        assert_eq!(percentile(&v, 99.0), 4.0);
-        assert_eq!(percentile(&v, 100.0), 4.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.5], 50.0), 7.5);
+        assert_eq!(percentile(&v, 50), 2.0);
+        assert_eq!(percentile(&v, 99), 4.0);
+        assert_eq!(percentile(&v, 100), 4.0);
+        assert_eq!(percentile(&[], 50), 0.0);
+        assert_eq!(percentile(&[7.5], 50), 7.5);
     }
 
     #[test]

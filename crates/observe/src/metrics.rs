@@ -102,6 +102,13 @@ pub struct FlowMetrics {
     pub multiboard_link_stall_ns: f64,
 }
 
+/// Index of the nearest-rank `p`-th percentile (`p` in 0..=100) in a
+/// sorted sample set of `n > 0` samples: rank `ceil(p·n/100)`, clamped
+/// to `1..=n`, in integer arithmetic.
+pub fn nearest_rank(n: usize, p: u32) -> usize {
+    (p as usize * n).div_ceil(100).clamp(1, n) - 1
+}
+
 /// Nearest-rank percentile of a sample set (`p` in 0..=100). Integer
 /// picoseconds in, integer picoseconds out — no float ordering anywhere.
 pub fn percentile_ps(samples: &[u64], p: u32) -> u64 {
@@ -110,8 +117,7 @@ pub fn percentile_ps(samples: &[u64], p: u32) -> u64 {
     }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    let rank = (p as usize * sorted.len()).div_ceil(100).max(1);
-    sorted[rank.min(sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len(), p)]
 }
 
 impl FlowMetrics {
@@ -482,6 +488,16 @@ mod tests {
         assert_eq!(m.jobs_redispatched, 1);
         assert_eq!(m.jobs_failed, 1);
         assert_eq!(m.node_failures, 1);
+    }
+
+    #[test]
+    fn nearest_rank_clamps_to_the_sample_set() {
+        assert_eq!(nearest_rank(1, 0), 0);
+        assert_eq!(nearest_rank(1, 100), 0);
+        assert_eq!(nearest_rank(4, 50), 1);
+        assert_eq!(nearest_rank(4, 99), 3);
+        assert_eq!(nearest_rank(100, 99), 98);
+        assert_eq!(nearest_rank(200, 99), 197);
     }
 
     #[test]

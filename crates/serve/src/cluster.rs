@@ -36,16 +36,16 @@
 
 use crate::job::{AdmissionError, JobOutcome, JobSpec};
 use crate::net::NetModel;
-use crate::node::{Admit, Scheduled, ServeNode, SimTables};
+use crate::node::{Admit, ServeNode, SimTables};
 use crate::policy::PolicyKind;
 use crate::queue::ActiveJob;
-use crate::report::{RejectionCounts, ServeReport, TenantReport};
+use crate::report::{RejectionCounts, ServeReport, Tallies, TenantIndex, TenantReport};
 use crate::routing::HashRing;
 use crate::scheduler::{ServeConfig, ServeError};
-use accelsoc_observe::{percentile_ps, FlowEvent, FlowObserver, TenantId};
+use accelsoc_observe::{FlowEvent, FlowObserver, TenantId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -102,6 +102,37 @@ impl ClusterConfig {
             },
         }
     }
+
+    /// Check that the configuration describes a runnable cluster.
+    /// [`ClusterConfigBuilder::build`] calls this, and so does
+    /// [`ClusterSession::run`], because the fields stay public after
+    /// `build`.
+    pub fn validate(&self) -> Result<(), ClusterConfigError> {
+        let Some(first) = self.nodes.first() else {
+            return Err(ClusterConfigError::NoNodes);
+        };
+        for (i, n) in self.nodes.iter().enumerate() {
+            if n.boards == 0 {
+                return Err(ClusterConfigError::NoBoards { node: i });
+            }
+            if n.tenants != first.tenants {
+                return Err(ClusterConfigError::TenantMismatch { node: i });
+            }
+            if n.app.dram_bytes != first.app.dram_bytes
+                || n.app.stream_fifo_depth != first.app.stream_fifo_depth
+                || n.dispatch_overhead_ps != first.dispatch_overhead_ps
+            {
+                return Err(ClusterConfigError::BoardModelMismatch { node: i });
+            }
+        }
+        match self.failures.iter().find(|f| f.node >= self.nodes.len()) {
+            Some(f) => Err(ClusterConfigError::BadFailureNode {
+                node: f.node,
+                nodes: self.nodes.len(),
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A [`ClusterConfig`] that cannot describe a runnable cluster.
@@ -109,6 +140,8 @@ impl ClusterConfig {
 pub enum ClusterConfigError {
     /// The cluster has no nodes.
     NoNodes,
+    /// Node `node` has an empty board pool.
+    NoBoards { node: usize },
     /// Node `node`'s tenant list differs from node 0's — routing is
     /// cluster-wide, so every node must know every tenant.
     TenantMismatch { node: usize },
@@ -124,6 +157,9 @@ impl fmt::Display for ClusterConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterConfigError::NoNodes => write!(f, "cluster needs at least one node"),
+            ClusterConfigError::NoBoards { node } => {
+                write!(f, "node {node} needs at least one board")
+            }
             ClusterConfigError::TenantMismatch { node } => {
                 write!(f, "node {node} has a different tenant list than node 0")
             }
@@ -203,30 +239,18 @@ impl ClusterConfigBuilder {
     }
 
     pub fn build(self) -> Result<ClusterConfig, ClusterConfigError> {
-        let cfg = self.cfg;
-        let Some(first) = cfg.nodes.first() else {
-            return Err(ClusterConfigError::NoNodes);
-        };
-        for (i, n) in cfg.nodes.iter().enumerate().skip(1) {
-            if n.tenants != first.tenants {
-                return Err(ClusterConfigError::TenantMismatch { node: i });
-            }
-            if n.app.dram_bytes != first.app.dram_bytes
-                || n.app.stream_fifo_depth != first.app.stream_fifo_depth
-                || n.dispatch_overhead_ps != first.dispatch_overhead_ps
-            {
-                return Err(ClusterConfigError::BoardModelMismatch { node: i });
-            }
+        self.cfg.validate()?;
+        Ok(self.cfg)
+    }
+}
+
+impl From<JobOutcome> for ClusterOutcome {
+    fn from(outcome: JobOutcome) -> Self {
+        match outcome {
+            JobOutcome::Completed => ClusterOutcome::Completed,
+            JobOutcome::CompletedLate => ClusterOutcome::CompletedLate,
+            JobOutcome::TimedOut => ClusterOutcome::TimedOut,
         }
-        for f in &cfg.failures {
-            if f.node >= cfg.nodes.len() {
-                return Err(ClusterConfigError::BadFailureNode {
-                    node: f.node,
-                    nodes: cfg.nodes.len(),
-                });
-            }
-        }
-        Ok(cfg)
     }
 }
 
@@ -313,10 +337,38 @@ const RANK_DELIVER: u8 = 3;
 /// Calendar key: the total event order `(ps, node, rank, seq)`.
 type Key = (u64, u32, u8, u64);
 
+/// A calendar entry ordered by `key` alone — the payload never
+/// participates in the comparison, so the heap stays cheap while
+/// preserving the total key order.
+struct Scheduled {
+    key: Key,
+    ev: CEv,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Scheduled {}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
 enum DeliverKind {
-    /// Pre-admission forward of job index `idx`; `hops` counts shed
-    /// forwards already taken (a second full queue is terminal).
-    Forward { idx: u32, hops: u8 },
+    /// Pre-admission forward of job index `idx` (a shed bounce or a
+    /// dead-home re-route); a full queue at its destination is terminal.
+    Forward { idx: u32 },
     /// A stolen job in transit to its thief.
     Steal(Box<ActiveJob>),
     /// A failure-orphaned job in transit to a survivor.
@@ -351,13 +403,13 @@ impl ClusterSession {
         observer: &dyn FlowObserver,
     ) -> Result<ClusterReport, ServeError> {
         let cfg = &self.cfg;
+        cfg.validate()?;
         let n_nodes = cfg.nodes.len();
-        assert!(n_nodes >= 1, "ClusterConfig::builder validates >= 1 node");
 
         // Shared precompute: one table set for every node (node 0's
-        // board model — the builder validated homogeneity).
+        // board model — `validate` checked homogeneity).
         let tables = Arc::new(SimTables::build(jobs, &cfg.nodes[0], cfg.threads)?);
-        let mut nodes: Vec<ServeNode> = cfg
+        let nodes: Vec<ServeNode> = cfg
             .nodes
             .iter()
             .enumerate()
@@ -365,35 +417,10 @@ impl ClusterSession {
                 let mut node_cfg = node_cfg.clone();
                 node_cfg.seed = cfg.seed;
                 node_cfg.keep_records = cfg.keep_records;
-                let mut node = ServeNode::new(i, node_cfg, Arc::clone(&tables));
-                node.emit_outcomes(true);
-                node
+                ServeNode::new(i, node_cfg, Arc::clone(&tables))
             })
             .collect();
         let ring = HashRing::new(n_nodes);
-        let mut alive = vec![true; n_nodes];
-        let mut alive_count = n_nodes;
-
-        // Cluster-wide tenant registry (node 0's tenant order).
-        let tenant_ids: Vec<TenantId> = cfg.nodes[0]
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| TenantId::new(i as u32, t.as_str()))
-            .collect();
-        let tenant_lookup: HashMap<&str, usize> = cfg.nodes[0]
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.as_str(), i))
-            .collect();
-        let resolve = |t: &TenantId| -> Option<usize> {
-            let i = t.index() as usize;
-            if i < tenant_ids.len() && tenant_ids[i].name() == t.name() {
-                return Some(i);
-            }
-            tenant_lookup.get(t.name()).copied()
-        };
 
         // Arrivals stay out of the heap: indices pre-sorted by the full
         // calendar key keep a million-job calendar at O(live events).
@@ -408,541 +435,232 @@ impl ClusterSession {
         };
         let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
         order.sort_unstable_by_key(|&i| arrive_key(i as usize));
-        let mut cursor = 0usize;
 
-        let mut heap: BinaryHeap<Reverse<Scheduled<Key, CEv>>> = BinaryHeap::new();
-        let mut next_seq = jobs.len() as u64;
+        let mut run = Run {
+            cfg,
+            jobs,
+            observer,
+            ring,
+            tenants: TenantIndex::new(&cfg.nodes[0].tenants),
+            tally: Tallies::new(cfg.nodes[0].tenants.len()),
+            records_seen: vec![0; n_nodes],
+            nodes,
+            alive: vec![true; n_nodes],
+            alive_count: n_nodes,
+            heap: BinaryHeap::new(),
+            next_seq: jobs.len() as u64,
+            counts: ClusterCounts::default(),
+            records: Vec::new(),
+        };
         for f in &cfg.failures {
-            heap.push(Reverse(Scheduled {
-                key: (f.at_ps, f.node as u32, RANK_FAIL, next_seq),
-                ev: CEv::Fail {
-                    node: f.node as u32,
-                },
-            }));
-            next_seq += 1;
+            let node = f.node as u32;
+            run.schedule((f.at_ps, node, RANK_FAIL), CEv::Fail { node });
         }
 
-        // --- cluster tallies ---------------------------------------------
-        let n_tenants = tenant_ids.len();
-        let mut submitted = 0u64;
-        let mut admitted = 0u64;
-        let mut rejected = 0u64;
-        let mut shed = 0u64;
-        let mut completed = 0u64;
-        let mut completed_late = 0u64;
-        let mut timed_out = 0u64;
-        let mut failed = 0u64;
-        let mut forwarded = 0u64;
-        let mut stolen = 0u64;
-        let mut redispatched = 0u64;
-        let mut node_failures = 0u64;
-        let mut rejections = RejectionCounts::default();
-        let mut makespan_ps = 0u64;
-        let mut t_submitted = vec![0u64; n_tenants];
-        let mut t_rejected = vec![0u64; n_tenants];
-        let mut t_missed = vec![0u64; n_tenants];
-        let mut t_latencies: Vec<Vec<u64>> = vec![Vec::new(); n_tenants];
-        let mut records: Vec<ClusterJobRecord> = Vec::new();
-
-        macro_rules! ledger {
-            ($id:expr, $tenant:expr, $node:expr, $outcome:expr, $ps:expr) => {
-                if cfg.keep_records {
-                    records.push(ClusterJobRecord {
-                        id: $id,
-                        tenant: $tenant,
-                        node: $node,
-                        outcome: $outcome,
-                        finish_ps: $ps,
-                    });
-                }
-            };
-        }
-
+        let mut cursor = 0usize;
         let mut sched_buf: Vec<(usize, u64)> = Vec::new();
         loop {
             // Merge the arrival cursor with the live-event heap on the
             // total key order.
             let next_arrival = order.get(cursor).map(|&i| arrive_key(i as usize));
-            let use_arrival = match (next_arrival, heap.peek()) {
+            let take_arrival = match (next_arrival, run.heap.peek()) {
                 (Some(a), Some(Reverse(s))) => a < s.key,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-
-            // Nodes touched by this event, serviced (dispatch + outcome
-            // drain + steal scan) below.
-            let mut touched: Option<usize> = None;
-            let now_ps;
-
-            if use_arrival {
+            let (now_ps, touched) = if take_arrival {
                 let i = order[cursor] as usize;
                 cursor += 1;
-                let key = arrive_key(i);
-                now_ps = key.0;
-                let job = &jobs[i];
-                submitted += 1;
-                if let Some(ti) = resolve(&job.tenant) {
-                    t_submitted[ti] += 1;
-                }
-                let target = home[i] as usize;
-                if alive[target] {
-                    touched = Some(target);
-                    Self::deliver(
-                        cfg,
-                        jobs,
-                        &mut nodes,
-                        &alive,
-                        alive_count,
-                        target,
-                        i,
-                        0,
-                        now_ps,
-                        observer,
-                        &mut heap,
-                        &mut next_seq,
-                        &mut admitted,
-                        &mut rejected,
-                        &mut shed,
-                        &mut forwarded,
-                        &mut rejections,
-                        &mut t_rejected,
-                        &resolve,
-                        cfg.keep_records.then_some(&mut records),
-                    );
-                } else {
-                    // Dead home at delivery: re-route along the ring.
-                    match ring.successor(target, &alive) {
-                        Some(t2) => {
-                            forwarded += 1;
-                            observer.on_event(&FlowEvent::JobForwarded {
-                                job: job.id,
-                                tenant: job.tenant.clone(),
-                                from_node: target,
-                                to_node: t2,
-                            });
-                            nodes[t2].pending_incoming += 1;
-                            heap.push(Reverse(Scheduled {
-                                key: (
-                                    now_ps + cfg.net.forward_ps,
-                                    t2 as u32,
-                                    RANK_DELIVER,
-                                    next_seq,
-                                ),
-                                ev: CEv::Deliver {
-                                    node: t2 as u32,
-                                    kind: DeliverKind::Forward {
-                                        idx: i as u32,
-                                        hops: 0,
-                                    },
-                                },
-                            }));
-                            next_seq += 1;
-                        }
-                        None => {
-                            // Whole cluster dead: unadmitted drop.
-                            shed += 1;
-                            observer.on_event(&FlowEvent::JobShed {
-                                job: job.id,
-                                tenant: job.tenant.clone(),
-                                node: target,
-                            });
-                            ledger!(
-                                job.id,
-                                job.tenant.clone(),
-                                None,
-                                ClusterOutcome::Shed,
-                                now_ps
-                            );
-                        }
-                    }
-                }
+                let now_ps = arrive_key(i).0;
+                (now_ps, run.arrive(i, home[i] as usize, now_ps))
             } else {
-                let Reverse(Scheduled { key, ev }) = heap.pop().expect("peeked above");
-                now_ps = key.0;
-                match ev {
-                    CEv::BatchDone { node, board } => {
-                        let node = node as usize;
-                        if alive[node] {
-                            nodes[node].batch_done(board as usize, observer);
-                            touched = Some(node);
-                        }
-                    }
-                    CEv::Fail { node } => {
-                        let node = node as usize;
-                        if alive[node] {
-                            alive[node] = false;
-                            alive_count -= 1;
-                            node_failures += 1;
-                            let orphans = nodes[node].fail(now_ps, observer);
-                            for job in orphans {
-                                Self::redispatch(
-                                    cfg,
-                                    &mut nodes,
-                                    &ring,
-                                    &alive,
-                                    node,
-                                    job,
-                                    now_ps,
-                                    observer,
-                                    &mut heap,
-                                    &mut next_seq,
-                                    &mut failed,
-                                    &mut redispatched,
-                                    cfg.keep_records.then_some(&mut records),
-                                );
-                            }
-                        }
-                    }
-                    CEv::Deliver { node, kind } => {
-                        let node = node as usize;
-                        nodes[node].pending_incoming -= 1;
-                        match kind {
-                            DeliverKind::Forward { idx, hops } => {
-                                if alive[node] {
-                                    touched = Some(node);
-                                    Self::deliver(
-                                        cfg,
-                                        jobs,
-                                        &mut nodes,
-                                        &alive,
-                                        alive_count,
-                                        node,
-                                        idx as usize,
-                                        hops + 1,
-                                        now_ps,
-                                        observer,
-                                        &mut heap,
-                                        &mut next_seq,
-                                        &mut admitted,
-                                        &mut rejected,
-                                        &mut shed,
-                                        &mut forwarded,
-                                        &mut rejections,
-                                        &mut t_rejected,
-                                        &resolve,
-                                        cfg.keep_records.then_some(&mut records),
-                                    );
-                                } else {
-                                    let job = &jobs[idx as usize];
-                                    match ring.successor(node, &alive) {
-                                        Some(t2) => {
-                                            forwarded += 1;
-                                            observer.on_event(&FlowEvent::JobForwarded {
-                                                job: job.id,
-                                                tenant: job.tenant.clone(),
-                                                from_node: node,
-                                                to_node: t2,
-                                            });
-                                            nodes[t2].pending_incoming += 1;
-                                            heap.push(Reverse(Scheduled {
-                                                key: (
-                                                    now_ps + cfg.net.forward_ps,
-                                                    t2 as u32,
-                                                    RANK_DELIVER,
-                                                    next_seq,
-                                                ),
-                                                ev: CEv::Deliver {
-                                                    node: t2 as u32,
-                                                    kind: DeliverKind::Forward { idx, hops },
-                                                },
-                                            }));
-                                            next_seq += 1;
-                                        }
-                                        None => {
-                                            shed += 1;
-                                            observer.on_event(&FlowEvent::JobShed {
-                                                job: job.id,
-                                                tenant: job.tenant.clone(),
-                                                node,
-                                            });
-                                            ledger!(
-                                                job.id,
-                                                job.tenant.clone(),
-                                                None,
-                                                ClusterOutcome::Shed,
-                                                now_ps
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                            DeliverKind::Steal(job) | DeliverKind::Redispatch(job)
-                                if !alive[node] =>
-                            {
-                                // The receiver died mid-transfer: the job
-                                // is orphaned again.
-                                Self::redispatch(
-                                    cfg,
-                                    &mut nodes,
-                                    &ring,
-                                    &alive,
-                                    node,
-                                    *job,
-                                    now_ps,
-                                    observer,
-                                    &mut heap,
-                                    &mut next_seq,
-                                    &mut failed,
-                                    &mut redispatched,
-                                    cfg.keep_records.then_some(&mut records),
-                                );
-                            }
-                            DeliverKind::Steal(job) => {
-                                nodes[node].transfer_in(*job, false);
-                                touched = Some(node);
-                            }
-                            DeliverKind::Redispatch(job) => {
-                                nodes[node].transfer_in(*job, true);
-                                touched = Some(node);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Service the touched node: dispatch freed capacity, then
-            // drain terminal outcomes into the cluster tallies.
+                let Reverse(Scheduled { key, ev }) = run.heap.pop().expect("peeked above");
+                (key.0, run.handle(ev, key.0))
+            };
+            // Service the node this event touched: dispatch freed
+            // capacity and copy its new outcomes into the ledger.
             if let Some(id) = touched {
-                if alive[id] {
-                    nodes[id].dispatch(now_ps, observer, &mut sched_buf);
-                    for (board, done_ps) in sched_buf.drain(..) {
-                        heap.push(Reverse(Scheduled {
-                            key: (done_ps, id as u32, RANK_BATCH_DONE, next_seq),
-                            ev: CEv::BatchDone {
-                                node: id as u32,
-                                board: board as u32,
-                            },
-                        }));
-                        next_seq += 1;
-                    }
-                }
-                for rec in nodes[id].drain_outcomes() {
-                    makespan_ps = makespan_ps.max(rec.finish_ps);
-                    let outcome = match rec.outcome {
-                        JobOutcome::Completed => {
-                            completed += 1;
-                            ClusterOutcome::Completed
-                        }
-                        JobOutcome::CompletedLate => {
-                            completed_late += 1;
-                            ClusterOutcome::CompletedLate
-                        }
-                        JobOutcome::TimedOut => {
-                            timed_out += 1;
-                            ClusterOutcome::TimedOut
-                        }
-                    };
-                    if let Some(ti) = resolve(&rec.tenant) {
-                        match outcome {
-                            ClusterOutcome::Completed => t_latencies[ti].push(rec.latency_ps),
-                            ClusterOutcome::CompletedLate => {
-                                t_latencies[ti].push(rec.latency_ps);
-                                t_missed[ti] += 1;
-                            }
-                            ClusterOutcome::TimedOut => t_missed[ti] += 1,
-                            _ => unreachable!("node outcomes are completions"),
-                        }
-                    }
-                    if cfg.keep_records {
-                        records.push(ClusterJobRecord {
-                            id: rec.id,
-                            tenant: rec.tenant.clone(),
-                            node: Some(id),
-                            outcome,
-                            finish_ps: rec.finish_ps,
-                        });
-                    }
-                }
+                run.service(id, now_ps, &mut sched_buf);
             }
+            if cfg.steal && run.alive_count >= 2 {
+                run.steal_scan(now_ps);
+            }
+        }
+        Ok(run.into_report())
+    }
+}
 
-            // Work-stealing scan: idle, empty, nothing inbound → steal
-            // the newest job from the most-loaded alive peer.
-            if cfg.steal && alive_count >= 2 {
-                for thief in 0..n_nodes {
-                    if !alive[thief]
-                        || nodes[thief].pending_incoming > 0
-                        || nodes[thief].idle_boards() == 0
-                        || nodes[thief].queued_total() > 0
-                    {
-                        continue;
+/// Cluster-level counters with no node-side counterpart.
+#[derive(Default)]
+struct ClusterCounts {
+    shed: u64,
+    failed: u64,
+    forwarded: u64,
+    stolen: u64,
+    redispatched: u64,
+    node_failures: u64,
+}
+
+/// The mutable state of one cluster run; the event handlers are its
+/// methods.
+struct Run<'a> {
+    cfg: &'a ClusterConfig,
+    jobs: &'a [JobSpec],
+    observer: &'a dyn FlowObserver,
+    ring: HashRing,
+    nodes: Vec<ServeNode>,
+    alive: Vec<bool>,
+    alive_count: usize,
+    heap: BinaryHeap<Reverse<Scheduled>>,
+    next_seq: u64,
+    tenants: TenantIndex,
+    /// Admission side, counted cluster-wide: a queue-full at the end of
+    /// a forward is a node rejection but a cluster `Shed`. The
+    /// completion side is merged from the nodes at the end of the run.
+    tally: Tallies,
+    counts: ClusterCounts,
+    /// Per node, how many of its records the ledger already holds.
+    records_seen: Vec<usize>,
+    records: Vec<ClusterJobRecord>,
+}
+
+impl<'a> Run<'a> {
+    /// The job stream, borrowed for the run rather than from `self`.
+    fn jobs(&self) -> &'a [JobSpec] {
+        self.jobs
+    }
+
+    /// Push `ev` at `(ps, node, rank)`; the sequence number breaks ties.
+    fn schedule(&mut self, (ps, node, rank): (u64, u32, u8), ev: CEv) {
+        self.heap.push(Reverse(Scheduled {
+            key: (ps, node, rank, self.next_seq),
+            ev,
+        }));
+        self.next_seq += 1;
+    }
+
+    /// Put a job on the wire to `node`, landing at `at_ps`.
+    fn send(&mut self, node: usize, at_ps: u64, kind: DeliverKind) {
+        self.nodes[node].pending_incoming += 1;
+        let node = node as u32;
+        self.schedule((at_ps, node, RANK_DELIVER), CEv::Deliver { node, kind });
+    }
+
+    fn ledger(
+        &mut self,
+        id: u64,
+        tenant: &TenantId,
+        node: Option<usize>,
+        outcome: ClusterOutcome,
+        finish_ps: u64,
+    ) {
+        if self.cfg.keep_records {
+            self.records.push(ClusterJobRecord {
+                id,
+                tenant: tenant.clone(),
+                node,
+                outcome,
+                finish_ps,
+            });
+        }
+    }
+
+    /// Client arrival of job `idx` at its home node. Returns the node to
+    /// service.
+    fn arrive(&mut self, idx: usize, home: usize, now_ps: u64) -> Option<usize> {
+        self.tally
+            .submit(self.tenants.resolve(&self.jobs[idx].tenant));
+        if self.alive[home] {
+            self.deliver(home, idx, false, now_ps);
+            Some(home)
+        } else {
+            self.forward_or_shed(home, idx, now_ps);
+            None
+        }
+    }
+
+    /// Apply one calendar event. Returns the node to service.
+    fn handle(&mut self, ev: CEv, now_ps: u64) -> Option<usize> {
+        match ev {
+            CEv::BatchDone { node, board } => {
+                let node = node as usize;
+                if !self.alive[node] {
+                    return None;
+                }
+                self.nodes[node].batch_done(board as usize, self.observer);
+                Some(node)
+            }
+            CEv::Fail { node } => {
+                let node = node as usize;
+                if self.alive[node] {
+                    self.alive[node] = false;
+                    self.alive_count -= 1;
+                    self.counts.node_failures += 1;
+                    for job in self.nodes[node].fail(now_ps, self.observer) {
+                        self.redispatch(node, job, now_ps);
                     }
-                    let mut victim: Option<(usize, usize)> = None; // (queued, id)
-                    for v in 0..n_nodes {
-                        if v == thief || !alive[v] {
-                            continue;
-                        }
-                        let q = nodes[v].queued_total();
-                        if q > victim.map_or(0, |(q, _)| q) {
-                            victim = Some((q, v));
-                        }
+                }
+                None
+            }
+            CEv::Deliver { node, kind } => {
+                let node = node as usize;
+                self.nodes[node].pending_incoming -= 1;
+                match kind {
+                    DeliverKind::Forward { idx } if self.alive[node] => {
+                        self.deliver(node, idx as usize, true, now_ps);
+                        Some(node)
                     }
-                    let Some((_, v)) = victim else { continue };
-                    let Some(job) = nodes[v].steal_out() else {
-                        continue;
-                    };
-                    stolen += 1;
-                    observer.on_event(&FlowEvent::JobStolen {
-                        job: job.spec.id,
-                        tenant: job.spec.tenant.clone(),
-                        from_node: v,
-                        to_node: thief,
-                    });
-                    nodes[thief].pending_incoming += 1;
-                    heap.push(Reverse(Scheduled {
-                        key: (
-                            now_ps + cfg.net.steal_ps,
-                            thief as u32,
-                            RANK_DELIVER,
-                            next_seq,
-                        ),
-                        ev: CEv::Deliver {
-                            node: thief as u32,
-                            kind: DeliverKind::Steal(Box::new(job)),
-                        },
-                    }));
-                    next_seq += 1;
+                    DeliverKind::Forward { idx } => {
+                        self.forward_or_shed(node, idx as usize, now_ps);
+                        None
+                    }
+                    // The receiver died mid-transfer: the job is
+                    // orphaned again.
+                    DeliverKind::Steal(job) | DeliverKind::Redispatch(job) if !self.alive[node] => {
+                        self.redispatch(node, *job, now_ps);
+                        None
+                    }
+                    DeliverKind::Steal(job) => {
+                        self.nodes[node].transfer_in(*job, false);
+                        Some(node)
+                    }
+                    DeliverKind::Redispatch(job) => {
+                        self.nodes[node].transfer_in(*job, true);
+                        Some(node)
+                    }
                 }
             }
         }
-
-        // --- fold into the report ----------------------------------------
-        let tenants: Vec<TenantReport> = tenant_ids
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let latencies = &t_latencies[i];
-                let mean = if latencies.is_empty() {
-                    0
-                } else {
-                    latencies.iter().sum::<u64>() / latencies.len() as u64
-                };
-                TenantReport {
-                    tenant: t.clone(),
-                    submitted: t_submitted[i],
-                    admitted: t_submitted[i] - t_rejected[i],
-                    rejected: t_rejected[i],
-                    completed: latencies.len() as u64,
-                    deadline_missed: t_missed[i],
-                    p50_latency_ps: percentile_ps(latencies, 50),
-                    p99_latency_ps: percentile_ps(latencies, 99),
-                    mean_latency_ps: mean,
-                }
-            })
-            .collect();
-        let throughput_jobs_per_s = if makespan_ps > 0 {
-            (completed + completed_late) as f64 / (makespan_ps as f64 * 1e-12)
-        } else {
-            0.0
-        };
-        let fairness = ServeReport::jain_fairness(&tenants);
-        Ok(ClusterReport {
-            policy: cfg.nodes[0].policy,
-            seed: cfg.seed,
-            nodes: n_nodes,
-            submitted,
-            admitted,
-            rejected,
-            shed,
-            completed,
-            completed_late,
-            timed_out,
-            failed,
-            forwarded,
-            stolen,
-            redispatched,
-            node_failures,
-            rejections,
-            makespan_ps,
-            throughput_jobs_per_s,
-            fairness,
-            tenants,
-            per_node: nodes.into_iter().map(ServeNode::into_report).collect(),
-            records,
-        })
     }
 
-    /// Deliver job `idx` to `node`'s admission control. `hops` counts
-    /// shed forwards already taken: hop 0 may bounce a queue-full job to
-    /// the least-loaded peer; hop 1's queue-full is terminal `Shed`.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        cfg: &ClusterConfig,
-        jobs: &[JobSpec],
-        nodes: &mut [ServeNode],
-        alive: &[bool],
-        alive_count: usize,
-        node: usize,
-        idx: usize,
-        hops: u8,
-        now_ps: u64,
-        observer: &dyn FlowObserver,
-        heap: &mut BinaryHeap<Reverse<Scheduled<Key, CEv>>>,
-        next_seq: &mut u64,
-        admitted: &mut u64,
-        rejected: &mut u64,
-        shed: &mut u64,
-        forwarded: &mut u64,
-        rejections: &mut RejectionCounts,
-        t_rejected: &mut [u64],
-        resolve: &dyn Fn(&TenantId) -> Option<usize>,
-        mut records: Option<&mut Vec<ClusterJobRecord>>,
-    ) {
-        let job = &jobs[idx];
-        let job_id = job.id;
-        let job_tenant = job.tenant.clone();
-        let probe = cfg.shed && hops == 0 && alive_count >= 2;
-        match nodes[node].admit(job, now_ps, probe, observer) {
-            Admit::Queued(_) => *admitted += 1,
+    /// Deliver job `idx` to `node`'s admission control. A client
+    /// arrival may bounce a queue-full job to the least-loaded peer; a
+    /// forwarded job that finds a full queue is terminally `Shed`.
+    fn deliver(&mut self, node: usize, idx: usize, forwarded: bool, now_ps: u64) {
+        let job = &self.jobs()[idx];
+        let probe = self.cfg.shed && !forwarded && self.alive_count >= 2;
+        match self.nodes[node].admit(job, now_ps, probe, self.observer) {
+            Admit::Queued(_) => self.tally.admitted += 1,
+            Admit::Rejected(AdmissionError::QueueFull { .. }) if forwarded => {
+                self.shed(idx, node, Some(node), now_ps)
+            }
             Admit::Rejected(err) => {
-                if hops > 0 && matches!(err, AdmissionError::QueueFull { .. }) {
-                    // The forwarded hop also found a full queue: shed.
-                    *shed += 1;
-                    observer.on_event(&FlowEvent::JobShed {
-                        job: job_id,
-                        tenant: job_tenant.clone(),
-                        node,
-                    });
-                    if let Some(records) = records.as_deref_mut() {
-                        records.push(ClusterJobRecord {
-                            id: job_id,
-                            tenant: job_tenant,
-                            node: Some(node),
-                            outcome: ClusterOutcome::Shed,
-                            finish_ps: now_ps,
-                        });
-                    }
-                } else {
-                    *rejected += 1;
-                    match &err {
-                        AdmissionError::QueueFull { .. } => rejections.queue_full += 1,
-                        AdmissionError::JobTooLarge { .. } => rejections.job_too_large += 1,
-                        AdmissionError::DeadlineImpossible { .. } => {
-                            rejections.deadline_impossible += 1
-                        }
-                        AdmissionError::InvalidGraph { .. } => rejections.invalid_graph += 1,
-                        AdmissionError::UnknownTenant(_) => rejections.unknown_tenant += 1,
-                        AdmissionError::TooManyBoards { .. } => rejections.too_many_boards += 1,
-                    }
-                    if let Some(ti) = resolve(&job_tenant) {
-                        t_rejected[ti] += 1;
-                    }
-                    if let Some(records) = records {
-                        records.push(ClusterJobRecord {
-                            id: job_id,
-                            tenant: job_tenant,
-                            node: Some(node),
-                            outcome: ClusterOutcome::Rejected,
-                            finish_ps: now_ps,
-                        });
-                    }
-                }
+                self.tally.reject(self.tenants.resolve(&job.tenant), &err);
+                self.ledger(
+                    job.id,
+                    &job.tenant,
+                    Some(node),
+                    ClusterOutcome::Rejected,
+                    now_ps,
+                );
             }
             Admit::WouldOverflow => {
                 // Least-loaded alive peer (queued + inbound, id as
                 // tie-break) takes the bounce.
+                let nodes = &self.nodes;
                 let target = (0..nodes.len())
-                    .filter(|&v| v != node && alive[v])
+                    .filter(|&v| v != node && self.alive[v])
                     .min_by_key(|&v| {
                         (
                             nodes[v].queued_total() + nodes[v].pending_incoming as usize,
@@ -950,99 +668,191 @@ impl ClusterSession {
                         )
                     })
                     .expect("alive_count >= 2 checked by probe");
-                *forwarded += 1;
-                observer.on_event(&FlowEvent::JobForwarded {
-                    job: job_id,
-                    tenant: job_tenant,
-                    from_node: node,
-                    to_node: target,
-                });
-                nodes[target].pending_incoming += 1;
-                heap.push(Reverse(Scheduled {
-                    key: (
-                        now_ps + cfg.net.forward_ps,
-                        target as u32,
-                        RANK_DELIVER,
-                        *next_seq,
-                    ),
-                    ev: CEv::Deliver {
-                        node: target as u32,
-                        kind: DeliverKind::Forward {
-                            idx: idx as u32,
-                            hops: 1,
-                        },
-                    },
-                }));
-                *next_seq += 1;
+                self.forward(idx, node, target, now_ps);
             }
         }
     }
 
+    /// Forward job `idx` from `from` to `to` before admission.
+    fn forward(&mut self, idx: usize, from: usize, to: usize, now_ps: u64) {
+        let job = &self.jobs()[idx];
+        self.counts.forwarded += 1;
+        self.observer.on_event(&FlowEvent::JobForwarded {
+            job: job.id,
+            tenant: job.tenant.clone(),
+            from_node: from,
+            to_node: to,
+        });
+        let at_ps = now_ps + self.cfg.net.forward_ps;
+        self.send(to, at_ps, DeliverKind::Forward { idx: idx as u32 });
+    }
+
+    /// Job `idx` reached dead node `from` before admission: re-route it
+    /// along the ring, or shed it when the whole cluster is dead.
+    fn forward_or_shed(&mut self, from: usize, idx: usize, now_ps: u64) {
+        match self.ring.successor(from, &self.alive) {
+            Some(to) => self.forward(idx, from, to, now_ps),
+            None => self.shed(idx, from, None, now_ps),
+        }
+    }
+
+    /// Drop job `idx` unadmitted at `node`; `ledger_node` is `None` when
+    /// no node could take it.
+    fn shed(&mut self, idx: usize, node: usize, ledger_node: Option<usize>, now_ps: u64) {
+        let job = &self.jobs()[idx];
+        self.counts.shed += 1;
+        self.observer.on_event(&FlowEvent::JobShed {
+            job: job.id,
+            tenant: job.tenant.clone(),
+            node,
+        });
+        self.ledger(
+            job.id,
+            &job.tenant,
+            ledger_node,
+            ClusterOutcome::Shed,
+            now_ps,
+        );
+    }
+
     /// Re-dispatch a failure-orphaned job, or count it `Failed` when
     /// the budget or the cluster is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    fn redispatch(
-        cfg: &ClusterConfig,
-        nodes: &mut [ServeNode],
-        ring: &HashRing,
-        alive: &[bool],
-        from_node: usize,
-        mut job: ActiveJob,
-        now_ps: u64,
-        observer: &dyn FlowObserver,
-        heap: &mut BinaryHeap<Reverse<Scheduled<Key, CEv>>>,
-        next_seq: &mut u64,
-        failed: &mut u64,
-        redispatched: &mut u64,
-        records: Option<&mut Vec<ClusterJobRecord>>,
-    ) {
+    fn redispatch(&mut self, from_node: usize, mut job: ActiveJob, now_ps: u64) {
         job.redispatches += 1;
-        let target = if job.redispatches > cfg.max_redispatch {
+        let target = if job.redispatches > self.cfg.max_redispatch {
             None
         } else {
-            ring.route(&job.spec.tenant, alive)
+            self.ring.route(&job.spec.tenant, &self.alive)
         };
-        match target {
-            Some(t) => {
-                *redispatched += 1;
-                observer.on_event(&FlowEvent::JobRedispatched {
-                    job: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
-                    from_node,
-                    to_node: t,
-                });
-                nodes[t].pending_incoming += 1;
-                heap.push(Reverse(Scheduled {
-                    key: (
-                        now_ps + cfg.net.redispatch_ps,
-                        t as u32,
-                        RANK_DELIVER,
-                        *next_seq,
-                    ),
-                    ev: CEv::Deliver {
-                        node: t as u32,
-                        kind: DeliverKind::Redispatch(Box::new(job)),
-                    },
-                }));
-                *next_seq += 1;
+        let Some(to) = target else {
+            self.counts.failed += 1;
+            self.observer.on_event(&FlowEvent::JobFailed {
+                job: job.spec.id,
+                tenant: job.spec.tenant.clone(),
+                node: from_node,
+            });
+            self.ledger(
+                job.spec.id,
+                &job.spec.tenant,
+                Some(from_node),
+                ClusterOutcome::Failed,
+                now_ps,
+            );
+            return;
+        };
+        self.counts.redispatched += 1;
+        self.observer.on_event(&FlowEvent::JobRedispatched {
+            job: job.spec.id,
+            tenant: job.spec.tenant.clone(),
+            from_node,
+            to_node: to,
+        });
+        let at_ps = now_ps + self.cfg.net.redispatch_ps;
+        self.send(to, at_ps, DeliverKind::Redispatch(Box::new(job)));
+    }
+
+    /// Dispatch freed capacity on (alive) node `id`, then copy its new
+    /// outcomes into the ledger.
+    fn service(&mut self, id: usize, now_ps: u64, sched_buf: &mut Vec<(usize, u64)>) {
+        self.nodes[id].dispatch(now_ps, self.observer, sched_buf);
+        for (board, done_ps) in sched_buf.drain(..) {
+            let (node, board) = (id as u32, board as u32);
+            self.schedule(
+                (done_ps, node, RANK_BATCH_DONE),
+                CEv::BatchDone { node, board },
+            );
+        }
+        if self.cfg.keep_records {
+            let new = &self.nodes[id].records()[self.records_seen[id]..];
+            self.records_seen[id] += new.len();
+            self.records.extend(new.iter().map(|rec| ClusterJobRecord {
+                id: rec.id,
+                tenant: rec.tenant.clone(),
+                node: Some(id),
+                outcome: rec.outcome.into(),
+                finish_ps: rec.finish_ps,
+            }));
+        }
+    }
+
+    /// Work-stealing scan: idle, empty, nothing inbound → steal the
+    /// newest job from the most-loaded alive peer.
+    fn steal_scan(&mut self, now_ps: u64) {
+        let n_nodes = self.nodes.len();
+        for thief in 0..n_nodes {
+            let t = &self.nodes[thief];
+            if !self.alive[thief]
+                || t.pending_incoming > 0
+                || t.idle_boards() == 0
+                || t.queued_total() > 0
+            {
+                continue;
             }
-            None => {
-                *failed += 1;
-                observer.on_event(&FlowEvent::JobFailed {
-                    job: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
-                    node: from_node,
-                });
-                if let Some(records) = records {
-                    records.push(ClusterJobRecord {
-                        id: job.spec.id,
-                        tenant: job.spec.tenant.clone(),
-                        node: Some(from_node),
-                        outcome: ClusterOutcome::Failed,
-                        finish_ps: now_ps,
-                    });
+            let mut victim: Option<(usize, usize)> = None; // (queued, id)
+            for v in 0..n_nodes {
+                if v == thief || !self.alive[v] {
+                    continue;
+                }
+                let q = self.nodes[v].queued_total();
+                if q > victim.map_or(0, |(q, _)| q) {
+                    victim = Some((q, v));
                 }
             }
+            let Some((_, v)) = victim else { continue };
+            let Some(job) = self.nodes[v].steal_out() else {
+                continue;
+            };
+            self.counts.stolen += 1;
+            self.observer.on_event(&FlowEvent::JobStolen {
+                job: job.spec.id,
+                tenant: job.spec.tenant.clone(),
+                from_node: v,
+                to_node: thief,
+            });
+            let at_ps = now_ps + self.cfg.net.steal_ps;
+            self.send(thief, at_ps, DeliverKind::Steal(Box::new(job)));
+        }
+    }
+
+    /// Merge the nodes' completion tallies into the cluster's and fold
+    /// everything into the report.
+    fn into_report(self) -> ClusterReport {
+        let Run {
+            cfg,
+            nodes,
+            tenants,
+            mut tally,
+            counts,
+            records,
+            ..
+        } = self;
+        for node in &nodes {
+            tally.merge_completions(&node.tally);
+        }
+        let rows = tally.tenant_reports(&tenants);
+        ClusterReport {
+            policy: cfg.nodes[0].policy,
+            seed: cfg.seed,
+            nodes: nodes.len(),
+            submitted: tally.submitted,
+            admitted: tally.admitted,
+            rejected: tally.rejections.total(),
+            shed: counts.shed,
+            completed: tally.completed,
+            completed_late: tally.completed_late,
+            timed_out: tally.timed_out,
+            failed: counts.failed,
+            forwarded: counts.forwarded,
+            stolen: counts.stolen,
+            redispatched: counts.redispatched,
+            node_failures: counts.node_failures,
+            makespan_ps: tally.makespan_ps,
+            throughput_jobs_per_s: tally.throughput_jobs_per_s(),
+            rejections: tally.rejections,
+            fairness: ServeReport::jain_fairness(&rows),
+            tenants: rows,
+            per_node: nodes.into_iter().map(ServeNode::into_report).collect(),
+            records,
         }
     }
 }

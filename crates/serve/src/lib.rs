@@ -36,12 +36,15 @@
 //! `FlowMetrics` folds them into counters plus per-tenant latency
 //! percentiles.
 //!
-//! On top of the single-node session, [`ClusterSession`] shards the
-//! runtime across N [`ServeNode`]s — consistent-hash routing
-//! ([`HashRing`]), a modeled network ([`NetModel`]), work stealing, load
-//! shedding and node-failure re-dispatch — under one calendar with the
-//! total event order `(ps, node, rank, seq)`, keeping the
-//! [`ClusterReport`] byte-identical across host thread counts.
+//! There is one event loop: [`ClusterSession`] drives N [`ServeNode`]s —
+//! consistent-hash routing ([`HashRing`]), a modeled network
+//! ([`NetModel`]), work stealing, load shedding and node-failure
+//! re-dispatch — under one calendar with the total event order
+//! `(ps, node, rank, seq)`, keeping the [`ClusterReport`]
+//! byte-identical across host thread counts. [`ServeSession`] is a
+//! 1-node cluster over [`NetModel::zero`] and returns that node's
+//! report. Node and cluster keep their counters in one set of tenant
+//! tallies (see [`report`]).
 
 pub mod cluster;
 pub mod estimator;

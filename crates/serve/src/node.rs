@@ -1,11 +1,10 @@
 //! One embeddable serve node: the admission / policy / batching /
-//! retry engine of PR 4's `run_serve`, factored out so it can run
-//! standalone (driven by [`crate::scheduler::ServeSession`]) or as one
-//! shard of an N-node cluster (driven by
-//! [`crate::cluster::ClusterSession`]).
+//! retry engine. The one event loop that drives nodes is
+//! [`crate::cluster::ClusterSession`]'s; a standalone
+//! [`crate::scheduler::ServeSession`] is a 1-node cluster.
 //!
 //! A node owns its board pool, its bounded per-tenant queues and its
-//! policy state, and exposes *pull-style* hooks to whichever calendar
+//! policy state, and exposes *pull-style* hooks to the calendar that
 //! drives it: the driver delivers arrivals ([`ServeNode::admit`]),
 //! board completions ([`ServeNode::batch_done`]) and failure injections
 //! ([`ServeNode::fail`]), then asks the node to dispatch as much as its
@@ -22,45 +21,16 @@
 use crate::job::{AdmissionError, JobOutcome, JobRecord, JobSpec};
 use crate::policy::SchedPolicy;
 use crate::queue::{ActiveJob, TenantQueue};
-use crate::report::{RejectionCounts, ServeReport, TenantReport};
+use crate::report::{ServeReport, Tallies, TenantIndex};
 use crate::scheduler::{ServeConfig, ServeError};
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
 use accelsoc_apps::otsu::{run_application_group, AppError};
 use accelsoc_core::flow::FlowArtifacts;
-use accelsoc_observe::{percentile_ps, FlowEvent, FlowObserver, TenantId};
+use accelsoc_observe::{FlowEvent, FlowObserver};
 use accelsoc_platform::sim::{ns_from_ps, ps_from_ns};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A calendar entry ordered by `key` alone — the payload never
-/// participates in the comparison, so heaps of `Scheduled` stay cheap
-/// (no `pending` side-map) while preserving the total `(time, rank,
-/// seq)` order of the PR 3 calendar discipline.
-pub(crate) struct Scheduled<K: Ord, E> {
-    pub key: K,
-    pub ev: E,
-}
-
-impl<K: Ord, E> PartialEq for Scheduled<K, E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<K: Ord, E> Eq for Scheduled<K, E> {}
-
-impl<K: Ord, E> PartialOrd for Scheduled<K, E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord, E> Ord for Scheduled<K, E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
 
 /// Admission checks that depend only on the job itself (not on queue
 /// state). Split out so the latency precompute can skip jobs that will
@@ -291,56 +261,32 @@ pub struct ServeNode {
     id: usize,
     cfg: ServeConfig,
     tables: Arc<SimTables>,
-    tenant_ids: Vec<TenantId>,
-    tenant_lookup: HashMap<String, usize>,
+    tenants: TenantIndex,
     queues: Vec<TenantQueue>,
     boards: Vec<BoardSlot>,
     policy: Box<dyn SchedPolicy>,
     max_batch: usize,
-    alive: bool,
-    /// When set, every terminal job outcome is also queued in an
-    /// outcomes buffer for the driver to drain (the cluster's tally
-    /// feed). Standalone sessions leave it off.
-    emit_outcomes: bool,
-    outcomes: Vec<JobRecord>,
     /// Jobs routed to this node but still "on the wire" — a cluster
     /// uses this to keep work-stealing away from nodes that are about
     /// to receive work anyway.
     pub(crate) pending_incoming: u32,
     // --- report bookkeeping ------------------------------------------
-    submitted: u64,
-    unknown_submitted: u64,
-    submitted_per_tenant: Vec<u64>,
-    rejected_per_tenant: Vec<u64>,
-    rejections: RejectionCounts,
-    admitted: u64,
+    pub(crate) tally: Tallies,
     retries: u64,
     batches: u64,
-    makespan_ps: u64,
-    completed: u64,
-    completed_late: u64,
-    timed_out: u64,
-    tenant_latencies: Vec<Vec<u64>>,
-    tenant_missed: Vec<u64>,
+    /// Terminal outcomes in order, kept only with `cfg.keep_records`.
     records: Vec<JobRecord>,
 }
 
 impl ServeNode {
+    /// A node with id `id`. Panics on an empty board pool, which
+    /// [`crate::ClusterConfig::validate`] rejects before any session
+    /// builds a node.
     pub fn new(id: usize, cfg: ServeConfig, tables: Arc<SimTables>) -> Self {
         assert!(cfg.boards >= 1, "need at least one board");
-        let tenant_ids: Vec<TenantId> = cfg
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| TenantId::new(i as u32, t.as_str()))
-            .collect();
-        let tenant_lookup: HashMap<String, usize> = cfg
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i))
-            .collect();
-        let queues: Vec<TenantQueue> = tenant_ids
+        let tenants = TenantIndex::new(&cfg.tenants);
+        let queues: Vec<TenantQueue> = tenants
+            .ids()
             .iter()
             .map(|t| TenantQueue::new(t.clone(), cfg.queue_depth))
             .collect();
@@ -353,45 +299,21 @@ impl ServeNode {
                 linked_to: None,
             })
             .collect();
-        let n = tenant_ids.len();
         ServeNode {
             id,
             policy: cfg.policy.make(),
             max_batch: cfg.max_batch.max(1),
             tables,
-            tenant_ids,
-            tenant_lookup,
+            tally: Tallies::new(tenants.ids().len()),
+            tenants,
             queues,
             boards,
-            alive: true,
-            emit_outcomes: false,
-            outcomes: Vec::new(),
             pending_incoming: 0,
-            submitted: 0,
-            unknown_submitted: 0,
-            submitted_per_tenant: vec![0; n],
-            rejected_per_tenant: vec![0; n],
-            rejections: RejectionCounts::default(),
-            admitted: 0,
             retries: 0,
             batches: 0,
-            makespan_ps: 0,
-            completed: 0,
-            completed_late: 0,
-            timed_out: 0,
-            tenant_latencies: vec![Vec::new(); n],
-            tenant_missed: vec![0; n],
             records: Vec::new(),
             cfg,
         }
-    }
-
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    pub fn is_alive(&self) -> bool {
-        self.alive
     }
 
     /// Total jobs waiting across all tenant queues.
@@ -403,49 +325,18 @@ impl ServeNode {
         self.boards.iter().filter(|b| !b.busy).count()
     }
 
-    /// Turn on the outcomes buffer (see [`ServeNode::drain_outcomes`]).
-    pub fn emit_outcomes(&mut self, on: bool) {
-        self.emit_outcomes = on;
+    /// Terminal job outcomes so far, in order (empty unless the config
+    /// keeps records).
+    pub(crate) fn records(&self) -> &[JobRecord] {
+        &self.records
     }
 
-    /// Terminal job outcomes accumulated since the last drain (only
-    /// when [`ServeNode::emit_outcomes`] is on).
-    pub fn drain_outcomes(&mut self) -> std::vec::Drain<'_, JobRecord> {
-        self.outcomes.drain(..)
-    }
-
-    fn resolve(&self, tenant: &TenantId) -> Option<usize> {
-        let i = tenant.index() as usize;
-        if i < self.tenant_ids.len() && self.tenant_ids[i].name() == tenant.name() {
-            return Some(i);
-        }
-        self.tenant_lookup.get(tenant.name()).copied()
-    }
-
-    /// Record one terminal outcome: counters, tenant tallies, the
-    /// per-job record (when the config keeps them), and the outcomes
-    /// buffer (when the driver wants them).
-    fn record_outcome(&mut self, rec: JobRecord, ti: Option<usize>) {
-        match rec.outcome {
-            JobOutcome::Completed => self.completed += 1,
-            JobOutcome::CompletedLate => self.completed_late += 1,
-            JobOutcome::TimedOut => self.timed_out += 1,
-        }
-        if let Some(ti) = ti {
-            match rec.outcome {
-                JobOutcome::Completed => self.tenant_latencies[ti].push(rec.latency_ps),
-                JobOutcome::CompletedLate => {
-                    self.tenant_latencies[ti].push(rec.latency_ps);
-                    self.tenant_missed[ti] += 1;
-                }
-                JobOutcome::TimedOut => self.tenant_missed[ti] += 1,
-            }
-        }
+    /// Record one terminal outcome: counters, tenant tallies, and the
+    /// per-job record when the config keeps them.
+    fn record_outcome(&mut self, rec: JobRecord) {
+        self.tally.finish(self.tenants.resolve(&rec.tenant), &rec);
         if self.cfg.keep_records {
-            self.records.push(rec.clone());
-        }
-        if self.emit_outcomes {
-            self.outcomes.push(rec);
+            self.records.push(rec);
         }
     }
 
@@ -463,40 +354,22 @@ impl ServeNode {
         observer: &dyn FlowObserver,
     ) -> Admit {
         let e = self.tables.est(job);
-        let verdict = static_admission(job, &self.cfg, e, now_ps).and_then(|()| {
-            match self.resolve(&job.tenant) {
-                Some(ti) if self.queues[ti].is_full() => Err(AdmissionError::QueueFull {
-                    tenant: job.tenant.name().into(),
-                    depth: self.queues[ti].depth,
-                }),
-                Some(ti) => Ok(ti),
-                None => unreachable!("static_admission checked tenant"),
-            }
+        let resolved = self.tenants.resolve(&job.tenant);
+        let verdict = static_admission(job, &self.cfg, e, now_ps).and_then(|()| match resolved {
+            Some(ti) if self.queues[ti].is_full() => Err(AdmissionError::QueueFull {
+                tenant: job.tenant.name().into(),
+                depth: self.queues[ti].depth,
+            }),
+            Some(ti) => Ok(ti),
+            None => unreachable!("static_admission checked tenant"),
         });
         if probe_overflow && matches!(verdict, Err(AdmissionError::QueueFull { .. })) {
             return Admit::WouldOverflow;
         }
-        self.submitted += 1;
-        if let Some(ti) = self.resolve(&job.tenant) {
-            self.submitted_per_tenant[ti] += 1;
-        } else {
-            self.unknown_submitted += 1;
-        }
+        self.tally.submit(resolved);
         match verdict {
             Err(err) => {
-                match &err {
-                    AdmissionError::QueueFull { .. } => self.rejections.queue_full += 1,
-                    AdmissionError::JobTooLarge { .. } => self.rejections.job_too_large += 1,
-                    AdmissionError::DeadlineImpossible { .. } => {
-                        self.rejections.deadline_impossible += 1
-                    }
-                    AdmissionError::InvalidGraph { .. } => self.rejections.invalid_graph += 1,
-                    AdmissionError::UnknownTenant(_) => self.rejections.unknown_tenant += 1,
-                    AdmissionError::TooManyBoards { .. } => self.rejections.too_many_boards += 1,
-                }
-                if let Some(ti) = self.resolve(&job.tenant) {
-                    self.rejected_per_tenant[ti] += 1;
-                }
+                self.tally.reject(resolved, &err);
                 observer.on_event(&FlowEvent::JobRejected {
                     job: job.id,
                     tenant: job.tenant.clone(),
@@ -506,7 +379,7 @@ impl ServeNode {
                 Admit::Rejected(err)
             }
             Ok(ti) => {
-                self.admitted += 1;
+                self.tally.admitted += 1;
                 observer.on_event(&FlowEvent::JobAdmitted {
                     job: job.id,
                     tenant: job.tenant.clone(),
@@ -534,6 +407,7 @@ impl ServeNode {
     /// head, the re-dispatch path).
     pub fn transfer_in(&mut self, mut job: ActiveJob, front: bool) {
         let ti = self
+            .tenants
             .resolve(&job.spec.tenant)
             .expect("cluster nodes share one tenant set");
         // Board indices are per-node; a fault exclusion from another
@@ -585,13 +459,13 @@ impl ServeNode {
                 });
                 job.excluded_board = Some(board);
                 let ti = self
+                    .tenants
                     .resolve(&job.spec.tenant)
                     .expect("admitted jobs have a tenant");
                 self.queues[ti].push_front(job);
                 continue;
             }
             let finish_ps = inflight.finish_ps;
-            self.makespan_ps = self.makespan_ps.max(finish_ps);
             let outcome = match job.spec.deadline_ps {
                 Some(d) if finish_ps > d => {
                     observer.on_event(&FlowEvent::JobDeadlineMissed {
@@ -611,22 +485,18 @@ impl ServeNode {
                 board,
                 latency_ps: finish_ps - job.spec.submit_ps,
             });
-            let ti = self.resolve(&job.spec.tenant);
-            self.record_outcome(
-                JobRecord {
-                    id: job.spec.id,
-                    tenant: job.spec.tenant.clone(),
-                    arch: job.spec.arch.name().into(),
-                    side: job.spec.side,
-                    board: Some(board),
-                    outcome,
-                    submit_ps: job.spec.submit_ps,
-                    finish_ps,
-                    latency_ps: finish_ps - job.spec.submit_ps,
-                    retries: job.attempts - 1,
-                },
-                ti,
-            );
+            self.record_outcome(JobRecord {
+                id: job.spec.id,
+                tenant: job.spec.tenant.clone(),
+                arch: job.spec.arch.name().into(),
+                side: job.spec.side,
+                board: Some(board),
+                outcome,
+                submit_ps: job.spec.submit_ps,
+                finish_ps,
+                latency_ps: finish_ps - job.spec.submit_ps,
+                retries: job.attempts - 1,
+            });
         }
     }
 
@@ -644,23 +514,18 @@ impl ServeNode {
                     node: self.id,
                     late_ps: now_ps.saturating_sub(deadline),
                 });
-                self.makespan_ps = self.makespan_ps.max(deadline);
-                let ti = self.resolve(&job.spec.tenant);
-                self.record_outcome(
-                    JobRecord {
-                        id: job.spec.id,
-                        tenant: job.spec.tenant.clone(),
-                        arch: job.spec.arch.name().into(),
-                        side: job.spec.side,
-                        board: None,
-                        outcome: JobOutcome::TimedOut,
-                        submit_ps: job.spec.submit_ps,
-                        finish_ps: deadline,
-                        latency_ps: deadline - job.spec.submit_ps,
-                        retries: job.attempts,
-                    },
-                    ti,
-                );
+                self.record_outcome(JobRecord {
+                    id: job.spec.id,
+                    tenant: job.spec.tenant.clone(),
+                    arch: job.spec.arch.name().into(),
+                    side: job.spec.side,
+                    board: None,
+                    outcome: JobOutcome::TimedOut,
+                    submit_ps: job.spec.submit_ps,
+                    finish_ps: deadline,
+                    latency_ps: deadline - job.spec.submit_ps,
+                    retries: job.attempts,
+                });
             }
         }
     }
@@ -820,13 +685,12 @@ impl ServeNode {
         }
     }
 
-    /// Kill the node at `now_ps`: mark it dead and hand back every
+    /// Kill the node at `now_ps`: hand back every
     /// orphaned job — queued (tenant order, front to back) then in
     /// flight (board order, dispatch order) — for the cluster to
     /// re-dispatch. Scheduled `BatchDone` events for this node become
     /// stale; drivers must skip completions on dead nodes.
     pub fn fail(&mut self, now_ps: u64, observer: &dyn FlowObserver) -> Vec<ActiveJob> {
-        self.alive = false;
         let mut orphans: Vec<ActiveJob> = Vec::new();
         for q in &mut self.queues {
             orphans.extend(q.drain_all());
@@ -850,62 +714,33 @@ impl ServeNode {
         orphans
     }
 
-    /// Fold the node's bookkeeping into a [`ServeReport`]. For a
-    /// standalone single-node session this is byte-for-byte the PR 4
-    /// report; inside a cluster it is the node's local view (transfers
-    /// in/out are accounted by the cluster, not the node).
+    /// Fold the node's bookkeeping into a [`ServeReport`]: a 1-node
+    /// cluster's whole result, or one node's local view inside a larger
+    /// cluster (transfers in/out are accounted by the cluster, not the
+    /// node).
     pub fn into_report(self) -> ServeReport {
         debug_assert!(
-            !self.alive || self.queues.iter().all(|q| q.is_empty()),
-            "alive nodes drain at shutdown"
+            self.queues.iter().all(|q| q.is_empty()),
+            "nodes drain at shutdown"
         );
-        let tenants: Vec<TenantReport> = self
-            .tenant_ids
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let latencies = &self.tenant_latencies[i];
-                let mean = if latencies.is_empty() {
-                    0
-                } else {
-                    latencies.iter().sum::<u64>() / latencies.len() as u64
-                };
-                TenantReport {
-                    tenant: t.clone(),
-                    submitted: self.submitted_per_tenant[i],
-                    admitted: self.submitted_per_tenant[i] - self.rejected_per_tenant[i],
-                    rejected: self.rejected_per_tenant[i],
-                    completed: latencies.len() as u64,
-                    deadline_missed: self.tenant_missed[i],
-                    p50_latency_ps: percentile_ps(latencies, 50),
-                    p99_latency_ps: percentile_ps(latencies, 99),
-                    mean_latency_ps: mean,
-                }
-            })
-            .collect();
-        let throughput_jobs_per_s = if self.makespan_ps > 0 {
-            (self.completed + self.completed_late) as f64 / (self.makespan_ps as f64 * 1e-12)
-        } else {
-            0.0
-        };
-        let fairness = ServeReport::jain_fairness(&tenants);
-        let _ = self.unknown_submitted;
+        let t = self.tally;
+        let tenants = t.tenant_reports(&self.tenants);
         ServeReport {
             policy: self.cfg.policy,
             boards: self.cfg.boards,
             seed: self.cfg.seed,
-            submitted: self.submitted,
-            admitted: self.admitted,
-            rejections: self.rejections,
-            completed: self.completed,
-            completed_late: self.completed_late,
-            timed_out: self.timed_out,
-            deadline_misses: self.completed_late + self.timed_out,
+            submitted: t.submitted,
+            admitted: t.admitted,
+            throughput_jobs_per_s: t.throughput_jobs_per_s(),
+            rejections: t.rejections,
+            completed: t.completed,
+            completed_late: t.completed_late,
+            timed_out: t.timed_out,
+            deadline_misses: t.completed_late + t.timed_out,
             retries: self.retries,
             batches: self.batches,
-            makespan_ps: self.makespan_ps,
-            throughput_jobs_per_s,
-            fairness,
+            makespan_ps: t.makespan_ps,
+            fairness: ServeReport::jain_fairness(&tenants),
             tenants,
             board_busy_ps: self.boards.iter().map(|b| b.busy_ps).collect(),
             records: self.records,

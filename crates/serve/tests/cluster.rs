@@ -6,8 +6,8 @@ use accelsoc_apps::archs::Arch;
 use accelsoc_observe::NullObserver;
 use accelsoc_serve::{
     generate_workload, pool_image_seeds, ClusterConfig, ClusterConfigError, ClusterReport,
-    ClusterSession, DseEstimator, NetModel, PolicyKind, ServeConfig, ServeSession, TenantProfile,
-    WorkloadSpec,
+    ClusterSession, DseEstimator, NetModel, NodeFailure, PolicyKind, ServeConfig, ServeError,
+    ServeSession, TenantProfile, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -94,10 +94,11 @@ proptest! {
 
 #[test]
 fn one_node_cluster_reproduces_the_single_node_session() {
-    // A 1-node cluster over a free network, with stealing and shedding
-    // ineffective (no peers), must push every event through the node in
-    // the same order as ServeSession — the per-node report is *equal*,
-    // not merely similar.
+    // ServeSession is a 1-node cluster over a free network, so its report
+    // is the cluster's node 0 — also with the cluster's default stealing
+    // and shedding, which cannot fire without peers. The cluster-level
+    // counters, built from cluster-wide admission tallies and the
+    // node's merged completion tallies, must agree with that node.
     let jobs = workload(7, 32, 30_000_000);
     for policy in PolicyKind::ALL {
         let mut single_cfg = node_cfg(policy, 2);
@@ -122,7 +123,22 @@ fn one_node_cluster_reproduces_the_single_node_session() {
             "{policy:?}: node 0 diverged from the standalone session"
         );
         assert_eq!(clustered.submitted, single.submitted);
+        assert_eq!(clustered.admitted, single.admitted);
+        assert_eq!(clustered.rejections, single.rejections);
         assert_eq!(clustered.completed, single.completed);
+        assert_eq!(clustered.completed_late, single.completed_late);
+        assert_eq!(clustered.timed_out, single.timed_out);
+        assert_eq!(clustered.makespan_ps, single.makespan_ps);
+        assert_eq!(clustered.tenants, single.tenants);
+        assert_eq!(
+            clustered.throughput_jobs_per_s.to_bits(),
+            single.throughput_jobs_per_s.to_bits()
+        );
+        assert_eq!(
+            clustered.records.len() as u64,
+            single.submitted,
+            "one ledger entry per job"
+        );
         assert_eq!(clustered.stolen + clustered.forwarded, 0, "no peers");
         assert!(clustered.accounting_ok());
     }
@@ -230,6 +246,59 @@ fn builder_rejects_malformed_clusters() {
             .build()
             .unwrap_err(),
         ClusterConfigError::BadFailureNode { node: 3, nodes: 1 }
+    );
+}
+
+#[test]
+fn an_empty_board_pool_is_a_typed_error() {
+    let jobs = workload(3, 4, 30_000_000);
+    let no_boards = node_cfg(PolicyKind::Fifo, 0);
+    let err = ServeSession::new(no_boards.clone())
+        .run(&jobs, &NullObserver)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Config(ClusterConfigError::NoBoards { node: 0 })
+        ),
+        "{err}"
+    );
+    assert_eq!(
+        ClusterConfig::builder()
+            .node(no_boards)
+            .build()
+            .unwrap_err(),
+        ClusterConfigError::NoBoards { node: 0 }
+    );
+    // The fields stay public after `build`, so `run` validates again.
+    let mut cfg = cluster(1, PolicyKind::Fifo, 3, 1);
+    cfg.nodes[0].boards = 0;
+    let err = ClusterSession::new(cfg)
+        .run(&jobs, &NullObserver)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Config(ClusterConfigError::NoBoards { node: 0 })
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_failure_outside_the_cluster_pushed_after_build_is_a_typed_error() {
+    let jobs = workload(3, 4, 30_000_000);
+    let mut cfg = cluster(2, PolicyKind::Fifo, 3, 1);
+    cfg.failures.push(NodeFailure { node: 2, at_ps: 0 });
+    let err = ClusterSession::new(cfg)
+        .run(&jobs, &NullObserver)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Config(ClusterConfigError::BadFailureNode { node: 2, nodes: 2 })
+        ),
+        "{err}"
     );
 }
 

@@ -35,6 +35,10 @@ else
     echo "==> cargo clippy unavailable; skipping lint step"
 fi
 
+echo "==> cargo doc (offline, -D warnings)"
+# Broken or private intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> kernel VM equivalence + speedup (repro_kernelvm)"
 CACHE_DIR=$(mktemp -d)
 trap 'rm -rf "$CACHE_DIR"' EXIT

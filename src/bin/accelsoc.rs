@@ -57,12 +57,15 @@
 use accelsoc::core::dsl::{parse, print, PrintStyle};
 use accelsoc::core::flow::{FlowEngine, FlowOptions};
 use accelsoc::core::semantics::elaborate;
-use accelsoc::core::{JsonTraceObserver, LogObserver};
+use accelsoc::core::{FlowObserver, JsonTraceObserver, LogObserver, NullObserver};
 use accelsoc::integration::device::Device;
 use accelsoc::integration::tcl::TclBackend;
 use accelsoc_integration::assembler::DmaPolicy;
+use serde::Serialize;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn builtin_kernels() -> Vec<accelsoc::kernel::ir::Kernel> {
     use accelsoc::apps::kernels as k;
@@ -421,12 +424,93 @@ fn cmd_sim(args: &[String]) -> ExitCode {
     }
 }
 
+/// Cursor over a subcommand's `--flag [value]` arguments. Every parse
+/// failure prints its error and yields exit code 2.
+struct Opts<'a> {
+    args: &'a [String],
+    i: usize,
+}
+
+impl<'a> Opts<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Opts { args, i: 0 }
+    }
+
+    /// The next flag, or `None` once every argument is consumed.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        let flag = self.args.get(self.i)?;
+        self.i += 1;
+        Some(flag)
+    }
+
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, ExitCode> {
+        let value = self
+            .args
+            .get(self.i)
+            .ok_or_else(|| usage(format_args!("`{flag}` requires a value")))?;
+        self.i += 1;
+        Ok(value)
+    }
+
+    /// The value following `flag`, parsed as a `T`.
+    fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, ExitCode>
+    where
+        T::Err: Display,
+    {
+        let value = self.value(flag)?;
+        value
+            .parse()
+            .map_err(|e| usage(format_args!("bad `{flag}` value `{value}`: {e}")))
+    }
+
+    /// The value following `flag`, parsed as a `T` above zero.
+    fn positive<T: FromStr + PartialOrd + Default>(&mut self, flag: &str) -> Result<T, ExitCode> {
+        match self.value(flag)?.parse::<T>() {
+            Ok(n) if n > T::default() => Ok(n),
+            _ => Err(usage(format_args!("`{flag}` needs a positive number"))),
+        }
+    }
+}
+
+/// Print a usage error; exit code 2.
+fn usage(msg: impl Display) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(2)
+}
+
+/// The observer `--verbose` selects: event lines on stderr, or none.
+fn cli_observer(verbose: bool) -> Box<dyn FlowObserver> {
+    if verbose {
+        Box::new(LogObserver::stderr())
+    } else {
+        Box::new(NullObserver)
+    }
+}
+
+/// Write `report` as pretty JSON to `path`, when one was given, and
+/// name the file on stdout.
+fn write_json_report(path: Option<&Path>, report: &impl Serialize) -> Result<(), ExitCode> {
+    let Some(path) = path else {
+        return Ok(());
+    };
+    let json = serde_json::to_string_pretty(report).map_err(|e| {
+        eprintln!("error serializing report: {e}");
+        ExitCode::FAILURE
+    })?;
+    std::fs::write(path, json + "\n").map_err(|e| {
+        eprintln!("error writing {}: {e}", path.display());
+        ExitCode::FAILURE
+    })?;
+    println!("report   : {}", path.display());
+    Ok(())
+}
+
 /// Multi-tenant serving simulation: a seeded synthetic workload of Otsu
 /// segmentation jobs scheduled across a pool of simulated boards (see
 /// DESIGN.md §10). Deterministic: same seed/policy/boards ⇒ the same
 /// report, regardless of `--threads`.
 fn cmd_serve_sim(args: &[String]) -> ExitCode {
-    use accelsoc::core::observe::{FlowObserver, LogObserver, NullObserver};
     use accelsoc::serve::{PolicyKind, ServeConfig, ServeSession};
 
     let mut boards: usize = 2;
@@ -438,107 +522,25 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
     let mut load: f64 = 0.8;
     let mut json_path: Option<PathBuf> = None;
     let mut verbose = false;
-    let mut i = 0;
-    while i < args.len() {
-        let parse_next = |what: &str| -> Result<&String, ExitCode> {
-            args.get(i + 1).ok_or_else(|| {
-                eprintln!("error: `{what}` requires a value");
-                ExitCode::from(2)
-            })
-        };
-        match args[i].as_str() {
-            "--boards" => match parse_next("--boards").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n > 0 => {
-                    boards = n;
-                    i += 2;
-                }
-                Ok(_) => {
-                    eprintln!("error: `--boards` needs a positive integer");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--policy" => match parse_next("--policy").map(|v| v.parse::<PolicyKind>()) {
-                Ok(Ok(p)) => {
-                    policy = p;
-                    i += 2;
-                }
-                Ok(Err(e)) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--jobs" => match parse_next("--jobs").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n > 0 => {
-                    jobs = n;
-                    i += 2;
-                }
-                Ok(_) => {
-                    eprintln!("error: `--jobs` needs a positive integer");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--seed" => match parse_next("--seed").map(|v| v.parse::<u64>()) {
-                Ok(Ok(n)) => {
-                    seed = n;
-                    i += 2;
-                }
-                Ok(Err(_)) => {
-                    eprintln!("error: `--seed` needs an unsigned integer");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--threads" => match parse_next("--threads").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n > 0 => {
-                    threads = n;
-                    i += 2;
-                }
-                Ok(_) => {
-                    eprintln!("error: `--threads` needs a positive integer");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--queue-depth" => match parse_next("--queue-depth").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n > 0 => {
-                    queue_depth = n;
-                    i += 2;
-                }
-                Ok(_) => {
-                    eprintln!("error: `--queue-depth` needs a positive integer");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--load" => match parse_next("--load").map(|v| v.parse::<f64>()) {
-                Ok(Ok(f)) if f > 0.0 => {
-                    load = f;
-                    i += 2;
-                }
-                Ok(_) => {
-                    eprintln!("error: `--load` needs a positive number");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--json" => match parse_next("--json") {
-                Ok(v) => {
-                    json_path = Some(PathBuf::from(v));
-                    i += 2;
-                }
-                Err(c) => return c,
-            },
+    let mut opts = Opts::new(args);
+    while let Some(flag) = opts.next_flag() {
+        let parsed = match flag {
+            "--boards" => opts.positive(flag).map(|n| boards = n),
+            "--policy" => opts.parse(flag).map(|p| policy = p),
+            "--jobs" => opts.positive(flag).map(|n| jobs = n),
+            "--seed" => opts.parse(flag).map(|n| seed = n),
+            "--threads" => opts.positive(flag).map(|n| threads = n),
+            "--queue-depth" => opts.positive(flag).map(|n| queue_depth = n),
+            "--load" => opts.positive(flag).map(|f| load = f),
+            "--json" => opts.value(flag).map(|v| json_path = Some(PathBuf::from(v))),
             "--verbose" => {
                 verbose = true;
-                i += 1;
+                Ok(())
             }
-            other => {
-                eprintln!("error: unknown option `{other}`");
-                return ExitCode::from(2);
-            }
+            other => Err(usage(format_args!("unknown option `{other}`"))),
+        };
+        if let Err(code) = parsed {
+            return code;
         }
     }
 
@@ -551,14 +553,8 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
         .threads(threads)
         .seed(seed)
         .build();
-    let log;
-    let observer: &dyn FlowObserver = if verbose {
-        log = LogObserver::stderr();
-        &log
-    } else {
-        &NullObserver
-    };
-    let report = match ServeSession::new(cfg).run(&workload, observer) {
+    let observer = cli_observer(verbose);
+    let report = match ServeSession::new(cfg).run(&workload, &*observer) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("serve error: {e}");
@@ -567,21 +563,10 @@ fn cmd_serve_sim(args: &[String]) -> ExitCode {
     };
 
     print_serve_report(&report);
-    if let Some(path) = &json_path {
-        let json = match serde_json::to_string_pretty(&report) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error serializing report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("error writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("report   : {}", path.display());
+    match write_json_report(json_path.as_deref(), &report) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
-    ExitCode::SUCCESS
 }
 
 /// Canonical two-tenant mix: a latency-sensitive tenant on the
@@ -644,7 +629,6 @@ fn canonical_workload(
 /// optional failure injection (see DESIGN.md §11). Deterministic for
 /// any `--threads`.
 fn cmd_cluster_sim(args: &[String]) -> ExitCode {
-    use accelsoc::core::observe::{FlowObserver, LogObserver, NullObserver};
     use accelsoc::serve::{
         pool_image_seeds, ClusterConfig, ClusterSession, PolicyKind, ServeConfig,
     };
@@ -663,110 +647,43 @@ fn cmd_cluster_sim(args: &[String]) -> ExitCode {
     let mut image_pool: Option<u64> = None;
     let mut json_path: Option<PathBuf> = None;
     let mut verbose = false;
-    let mut i = 0;
-    while i < args.len() {
-        let parse_next = |what: &str| -> Result<&String, ExitCode> {
-            args.get(i + 1).ok_or_else(|| {
-                eprintln!("error: `{what}` requires a value");
-                ExitCode::from(2)
-            })
-        };
-        macro_rules! positive {
-            ($flag:literal, $slot:ident, $ty:ty) => {
-                match parse_next($flag).map(|v| v.parse::<$ty>()) {
-                    Ok(Ok(n)) if n > 0 as $ty => {
-                        $slot = n;
-                        i += 2;
-                    }
-                    Ok(_) => {
-                        eprintln!(concat!("error: `", $flag, "` needs a positive number"));
-                        return ExitCode::from(2);
-                    }
-                    Err(c) => return c,
-                }
-            };
-        }
-        match args[i].as_str() {
-            "--nodes" => positive!("--nodes", nodes, usize),
-            "--boards-per-node" => positive!("--boards-per-node", boards_per_node, usize),
-            "--jobs" => positive!("--jobs", jobs, usize),
-            "--threads" => positive!("--threads", threads, usize),
-            "--queue-depth" => positive!("--queue-depth", queue_depth, usize),
-            "--load" => positive!("--load", load, f64),
-            "--policy" => match parse_next("--policy").map(|v| v.parse::<PolicyKind>()) {
-                Ok(Ok(p)) => {
-                    policy = p;
-                    i += 2;
-                }
-                Ok(Err(e)) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--seed" => match parse_next("--seed").map(|v| v.parse::<u64>()) {
-                Ok(Ok(n)) => {
-                    seed = n;
-                    i += 2;
-                }
-                Ok(Err(_)) => {
-                    eprintln!("error: `--seed` needs an unsigned integer");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
+    let mut opts = Opts::new(args);
+    while let Some(flag) = opts.next_flag() {
+        let parsed = match flag {
+            "--nodes" => opts.positive(flag).map(|n| nodes = n),
+            "--boards-per-node" => opts.positive(flag).map(|n| boards_per_node = n),
+            "--jobs" => opts.positive(flag).map(|n| jobs = n),
+            "--threads" => opts.positive(flag).map(|n| threads = n),
+            "--queue-depth" => opts.positive(flag).map(|n| queue_depth = n),
+            "--load" => opts.positive(flag).map(|f| load = f),
+            "--policy" => opts.parse(flag).map(|p| policy = p),
+            "--seed" => opts.parse(flag).map(|n| seed = n),
             "--no-steal" => {
                 steal = false;
-                i += 1;
+                Ok(())
             }
             "--no-shed" => {
                 shed = false;
-                i += 1;
+                Ok(())
             }
-            "--kill" => match parse_next("--kill") {
-                Ok(v) => {
-                    let parsed = v.split_once('@').and_then(|(n, ms)| {
-                        Some((n.parse::<usize>().ok()?, ms.parse::<u64>().ok()?))
-                    });
-                    match parsed {
-                        Some((node, ms)) => {
-                            kills.push((node, ms.saturating_mul(1_000_000_000)));
-                            i += 2;
-                        }
-                        None => {
-                            eprintln!("error: `--kill` wants <node>@<ms>, e.g. 1@5");
-                            return ExitCode::from(2);
-                        }
-                    }
-                }
-                Err(c) => return c,
-            },
-            "--image-pool" => match parse_next("--image-pool").map(|v| v.parse::<u64>()) {
-                Ok(Ok(n)) if n > 0 => {
-                    image_pool = Some(n);
-                    i += 2;
-                }
-                Ok(_) => {
-                    eprintln!("error: `--image-pool` needs a positive integer");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--json" => match parse_next("--json") {
-                Ok(v) => {
-                    json_path = Some(PathBuf::from(v));
-                    i += 2;
-                }
-                Err(c) => return c,
-            },
+            "--kill" => opts.value(flag).and_then(|v| {
+                let (node, ms) = v
+                    .split_once('@')
+                    .and_then(|(n, ms)| Some((n.parse::<usize>().ok()?, ms.parse::<u64>().ok()?)))
+                    .ok_or_else(|| usage("`--kill` wants <node>@<ms>, e.g. 1@5"))?;
+                kills.push((node, ms.saturating_mul(1_000_000_000)));
+                Ok(())
+            }),
+            "--image-pool" => opts.positive(flag).map(|n| image_pool = Some(n)),
+            "--json" => opts.value(flag).map(|v| json_path = Some(PathBuf::from(v))),
             "--verbose" => {
                 verbose = true;
-                i += 1;
+                Ok(())
             }
-            other => {
-                eprintln!("error: unknown option `{other}`");
-                return ExitCode::from(2);
-            }
+            other => Err(usage(format_args!("unknown option `{other}`"))),
+        };
+        if let Err(code) = parsed {
+            return code;
         }
     }
 
@@ -797,14 +714,8 @@ fn cmd_cluster_sim(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let log;
-    let observer: &dyn FlowObserver = if verbose {
-        log = LogObserver::stderr();
-        &log
-    } else {
-        &NullObserver
-    };
-    let report = match ClusterSession::new(cfg).run(&workload, observer) {
+    let observer = cli_observer(verbose);
+    let report = match ClusterSession::new(cfg).run(&workload, &*observer) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cluster error: {e}");
@@ -813,21 +724,10 @@ fn cmd_cluster_sim(args: &[String]) -> ExitCode {
     };
 
     print_cluster_report(&report);
-    if let Some(path) = &json_path {
-        let json = match serde_json::to_string_pretty(&report) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error serializing report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("error writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("report   : {}", path.display());
+    match write_json_report(json_path.as_deref(), &report) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
-    ExitCode::SUCCESS
 }
 
 /// Multi-board partitioning and whole-system co-simulation: the paper's
@@ -837,7 +737,6 @@ fn cmd_cluster_sim(args: &[String]) -> ExitCode {
 /// DESIGN.md §13). Deterministic: same options ⇒ byte-identical JSON,
 /// regardless of `--threads`.
 fn cmd_partition_sim(args: &[String]) -> ExitCode {
-    use accelsoc::core::observe::{FlowObserver, LogObserver, NullObserver};
     use accelsoc::partition::{run_partition_sim_observed, PartitionSimOptions};
 
     let mut boards: usize = 2;
@@ -847,78 +746,35 @@ fn cmd_partition_sim(args: &[String]) -> ExitCode {
     let mut threads: usize = 1;
     let mut json_path: Option<PathBuf> = None;
     let mut verbose = false;
-    let mut i = 0;
-    while i < args.len() {
-        let parse_next = |what: &str| -> Result<&String, ExitCode> {
-            args.get(i + 1).ok_or_else(|| {
-                eprintln!("error: `{what}` requires a value");
-                ExitCode::from(2)
-            })
-        };
-        macro_rules! positive {
-            ($flag:literal, $slot:ident, $ty:ty) => {
-                match parse_next($flag).map(|v| v.parse::<$ty>()) {
-                    Ok(Ok(n)) if n > 0 => {
-                        $slot = n;
-                        i += 2;
-                    }
-                    Ok(_) => {
-                        eprintln!(concat!("error: `", $flag, "` needs a positive integer"));
-                        return ExitCode::from(2);
-                    }
-                    Err(c) => return c,
-                }
-            };
-        }
-        match args[i].as_str() {
-            "--boards" => positive!("--boards", boards, usize),
-            "--scale" => positive!("--scale", scale, usize),
-            "--side" => positive!("--side", side, u32),
-            "--threads" => positive!("--threads", threads, usize),
-            "--seed" => match parse_next("--seed").map(|v| v.parse::<u64>()) {
-                Ok(Ok(n)) => {
-                    seed = n;
-                    i += 2;
-                }
-                Ok(Err(_)) => {
-                    eprintln!("error: `--seed` needs an unsigned integer");
-                    return ExitCode::from(2);
-                }
-                Err(c) => return c,
-            },
-            "--json" => match parse_next("--json") {
-                Ok(v) => {
-                    json_path = Some(PathBuf::from(v));
-                    i += 2;
-                }
-                Err(c) => return c,
-            },
+    let mut opts = Opts::new(args);
+    while let Some(flag) = opts.next_flag() {
+        let parsed = match flag {
+            "--boards" => opts.positive(flag).map(|n| boards = n),
+            "--scale" => opts.positive(flag).map(|n| scale = n),
+            "--side" => opts.positive(flag).map(|n| side = n),
+            "--threads" => opts.positive(flag).map(|n| threads = n),
+            "--seed" => opts.parse(flag).map(|n| seed = n),
+            "--json" => opts.value(flag).map(|v| json_path = Some(PathBuf::from(v))),
             "--verbose" => {
                 verbose = true;
-                i += 1;
+                Ok(())
             }
-            other => {
-                eprintln!("error: unknown option `{other}`");
-                return ExitCode::from(2);
-            }
+            other => Err(usage(format_args!("unknown option `{other}`"))),
+        };
+        if let Err(code) = parsed {
+            return code;
         }
     }
 
-    let opts = PartitionSimOptions::builder()
+    let sim_opts = PartitionSimOptions::builder()
         .scale(scale)
         .max_boards(boards)
         .side(side)
         .seed(seed)
         .threads(threads)
         .build();
-    let log;
-    let observer: &dyn FlowObserver = if verbose {
-        log = LogObserver::stderr();
-        &log
-    } else {
-        &NullObserver
-    };
-    let report = match run_partition_sim_observed(&opts, observer) {
+    let observer = cli_observer(verbose);
+    let report = match run_partition_sim_observed(&sim_opts, &*observer) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("partition-sim error: {e}");
@@ -975,19 +831,8 @@ fn cmd_partition_sim(args: &[String]) -> ExitCode {
         report.chains.len(),
         if report.pixel_exact { "" } else { "  MISMATCH" }
     );
-    if let Some(path) = &json_path {
-        let json = match serde_json::to_string_pretty(&report) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error serializing report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("error writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("report   : {}", path.display());
+    if let Err(code) = write_json_report(json_path.as_deref(), &report) {
+        return code;
     }
     if report.pixel_exact {
         ExitCode::SUCCESS

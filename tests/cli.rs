@@ -254,3 +254,65 @@ fn sim_runs_pipeline_and_emits_vcd() {
     let vcd = std::fs::read_to_string(dir.join("sim.vcd")).unwrap();
     assert!(vcd.contains("$enddefinitions"));
 }
+
+/// Runs `accelsoc <args>` and returns its exit code and stderr.
+fn run_code(args: &[&str]) -> (Option<i32>, String) {
+    let out = bin().args(args).output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn serve_and_cluster_sim_reject_bad_options_with_exit_2() {
+    for args in [
+        &["serve-sim", "--boards", "0"][..],
+        &["serve-sim", "--kill", "1@5"],
+        &["serve-sim", "--jobs"],
+        &["serve-sim", "--policy", "lifo"],
+        &["serve-sim", "--frobnicate"],
+        &["cluster-sim", "--boards-per-node", "0"],
+        &["cluster-sim", "--nodes", "0"],
+        &["cluster-sim", "--kill", "1"],
+        &["cluster-sim", "--kill", "x@5"],
+        &["cluster-sim", "--kill", "9@5"],
+        &["cluster-sim", "--json"],
+        &["cluster-sim", "--frobnicate"],
+    ] {
+        let (code, stderr) = run_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+    let (_, stderr) = run_code(&["cluster-sim", "--json"]);
+    assert!(stderr.contains("`--json` requires a value"), "{stderr}");
+    let (_, stderr) = run_code(&["serve-sim", "--frobnicate"]);
+    assert!(stderr.contains("unknown option `--frobnicate`"), "{stderr}");
+}
+
+#[test]
+fn serve_and_cluster_sim_write_json_reports_that_parse() {
+    let dir = std::env::temp_dir().join("accelsoc_cli_serve_json");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (cmd, keys) in [
+        ("serve-sim", &["boards", "batches", "records"][..]),
+        ("cluster-sim", &["nodes", "shed", "per_node"]),
+    ] {
+        let path = dir.join(format!("{cmd}.json"));
+        let out = bin()
+            .args([cmd, "--jobs", "12", "--json"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        for key in keys {
+            assert!(doc.get(key).is_some(), "{cmd}: no `{key}` in the report");
+        }
+        assert_eq!(doc.get("submitted").and_then(|v| v.as_u64()), Some(12));
+    }
+}

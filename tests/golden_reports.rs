@@ -1,4 +1,5 @@
-//! Golden tests pinning the serialized `BatchReport` and `ServeReport`
+//! Golden tests pinning the serialized `BatchReport`, the `ServeReport`
+//! of every scheduling policy and the serve run's event stream
 //! byte-for-byte.
 //!
 //! Both reports are virtual-time-only and deterministic by construction,
@@ -11,9 +12,9 @@
 use accelsoc_apps::archs::{arch_dsl_source, otsu_flow_engine, Arch};
 use accelsoc_apps::batch::{image_stream, run_batch};
 use accelsoc_apps::otsu::AppConfig;
-use accelsoc_core::observe::NullObserver;
+use accelsoc_core::observe::{CollectObserver, FlowObserver, NullObserver};
 use accelsoc_serve::{
-    generate_workload, DseEstimator, PolicyKind, ServeConfig, ServeSession, TenantProfile,
+    generate_workload, DseEstimator, JobSpec, PolicyKind, ServeConfig, ServeSession, TenantProfile,
     WorkloadSpec,
 };
 use std::path::Path;
@@ -53,44 +54,155 @@ fn batch_report_matches_golden() {
     check_or_update("batch_report.json", &out);
 }
 
-#[test]
-fn serve_report_matches_golden() {
-    let profiles = vec![
-        TenantProfile {
-            name: "interactive".into(),
-            weight: 2,
-            sides: vec![16, 24],
-            archs: vec![Arch::Arch4],
-            deadline_slack_pct: Some(5_000),
-            fault_rate: 0.0,
-        },
-        TenantProfile {
-            name: "batch".into(),
-            weight: 1,
-            sides: vec![32],
-            archs: vec![Arch::Arch1],
-            deadline_slack_pct: None,
-            fault_rate: 0.1,
-        },
-    ];
+/// The serve workload of the report goldens: two tenants, 12 jobs,
+/// deadlines on one tenant and transient faults on the other.
+fn serve_workload() -> (Vec<String>, Vec<JobSpec>, u64) {
+    workload(
+        vec![
+            TenantProfile {
+                name: "interactive".into(),
+                weight: 2,
+                sides: vec![16, 24],
+                archs: vec![Arch::Arch4],
+                deadline_slack_pct: Some(5_000),
+                fault_rate: 0.0,
+            },
+            TenantProfile {
+                name: "batch".into(),
+                weight: 1,
+                sides: vec![32],
+                archs: vec![Arch::Arch1],
+                deadline_slack_pct: None,
+                fault_rate: 0.1,
+            },
+        ],
+        12,
+        50_000_000,
+        7,
+    )
+}
+
+/// An overloaded variant for the event-stream golden: arrivals every
+/// 5 us, tight deadlines on one tenant and frequent faults on the
+/// other, so rejections, retries and deadline misses all occur.
+fn stressed_workload() -> (Vec<String>, Vec<JobSpec>, u64) {
+    workload(
+        vec![
+            TenantProfile {
+                name: "interactive".into(),
+                weight: 2,
+                sides: vec![16],
+                archs: vec![Arch::Arch4],
+                deadline_slack_pct: Some(300),
+                fault_rate: 0.0,
+            },
+            TenantProfile {
+                name: "batch".into(),
+                weight: 1,
+                sides: vec![16, 24],
+                archs: vec![Arch::Arch1],
+                deadline_slack_pct: None,
+                fault_rate: 0.5,
+            },
+        ],
+        24,
+        5_000_000,
+        11,
+    )
+}
+
+fn workload(
+    profiles: Vec<TenantProfile>,
+    jobs: usize,
+    mean_interarrival_ps: u64,
+    seed: u64,
+) -> (Vec<String>, Vec<JobSpec>, u64) {
     let spec = WorkloadSpec {
         tenants: profiles.clone(),
-        jobs: 12,
-        mean_interarrival_ps: 50_000_000,
-        seed: 7,
+        jobs,
+        mean_interarrival_ps,
+        seed,
     };
-    let mut est = DseEstimator::new();
-    let jobs = generate_workload(&spec, &mut est);
+    let jobs = generate_workload(&spec, &mut DseEstimator::new());
+    let names = profiles.into_iter().map(|t| t.name).collect();
+    (names, jobs, seed)
+}
+
+fn serve_report_json(
+    (tenants, jobs, seed): (Vec<String>, Vec<JobSpec>, u64),
+    boards: usize,
+    policy: PolicyKind,
+    observer: &dyn FlowObserver,
+) -> String {
     let cfg = ServeConfig::builder()
-        .tenants(profiles.iter().map(|t| t.name.clone()))
-        .boards(2)
-        .policy(PolicyKind::Sjf)
+        .tenants(tenants)
+        .boards(boards)
+        .policy(policy)
+        .queue_depth(if boards == 1 { 2 } else { 8 })
         .threads(2)
-        .seed(spec.seed)
+        .seed(seed)
         .build();
-    let rep = ServeSession::new(cfg)
-        .run(&jobs, &NullObserver)
-        .expect("serve");
-    let out = serde_json::to_string_pretty(&rep).unwrap() + "\n";
-    check_or_update("serve_report.json", &out);
+    let rep = ServeSession::new(cfg).run(&jobs, observer).expect("serve");
+    serde_json::to_string_pretty(&rep).unwrap() + "\n"
+}
+
+fn event_lines(sink: &CollectObserver) -> String {
+    let mut out = String::new();
+    for ev in sink.events() {
+        out.push_str(&serde_json::to_string(&ev).unwrap());
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn serve_report_matches_golden() {
+    check_or_update(
+        "serve_report.json",
+        &serve_report_json(serve_workload(), 2, PolicyKind::Sjf, &NullObserver),
+    );
+}
+
+#[test]
+fn serve_reports_match_golden_for_fifo_and_round_robin() {
+    for (policy, golden) in [
+        (PolicyKind::Fifo, "serve_report_fifo.json"),
+        (PolicyKind::RoundRobin, "serve_report_rr.json"),
+    ] {
+        check_or_update(
+            golden,
+            &serve_report_json(serve_workload(), 2, policy, &NullObserver),
+        );
+    }
+}
+
+/// The observer stream of the Sjf serve run, one JSON event per line:
+/// admissions, dispatches and completions in emission order.
+#[test]
+fn serve_event_stream_matches_golden() {
+    let sink = CollectObserver::new();
+    serve_report_json(serve_workload(), 2, PolicyKind::Sjf, &sink);
+    check_or_update("serve_events.jsonl", &event_lines(&sink));
+}
+
+/// The observer streams of the overloaded variant on one board with
+/// queue depth 2, every policy in turn: besides admissions, dispatches
+/// and completions they carry typed rejections, retries and deadline
+/// misses.
+#[test]
+fn stressed_serve_event_streams_match_golden() {
+    let sink = CollectObserver::new();
+    for policy in PolicyKind::ALL {
+        serve_report_json(stressed_workload(), 1, policy, &sink);
+    }
+    let events = sink.events();
+    for kind in ["JobRejected", "JobRetried", "JobDeadlineMissed"] {
+        assert!(
+            events.iter().any(|ev| serde_json::to_string(ev)
+                .unwrap()
+                .starts_with(&format!("{{\"{kind}\""))),
+            "the stressed workload no longer produces {kind}"
+        );
+    }
+    check_or_update("serve_events_stressed.jsonl", &event_lines(&sink));
 }
