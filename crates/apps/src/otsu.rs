@@ -5,7 +5,8 @@
 
 use crate::archs::Arch;
 use crate::image::{GrayImage, RgbImage};
-use accelsoc_axi::dma::DmaDescriptor;
+use accelsoc_axi::dma::{DmaDescriptor, DmaError};
+use accelsoc_axi::protocol::MemError;
 use accelsoc_core::flow::{FlowArtifacts, FlowEngine, FlowError};
 use accelsoc_kernel::interp::StreamBundle;
 use accelsoc_platform::board::{Board, BoardError};
@@ -131,6 +132,14 @@ impl From<FlowError> for AppError {
     }
 }
 
+/// A DRAM access outside the board's memory is the DMA memory fault it
+/// would raise on the board.
+impl From<MemError> for AppError {
+    fn from(e: MemError) -> Self {
+        AppError::Board(BoardError::Dma(DmaError::Mem(e)))
+    }
+}
+
 impl From<accelsoc_kernel::interp::ExecError> for AppError {
     fn from(e: accelsoc_kernel::interp::ExecError) -> Self {
         AppError::Exec(e)
@@ -250,13 +259,20 @@ fn hw_phase(
     hist_in: &[u32],
 ) -> Result<HwPhase, AppError> {
     let n = input.data.len() as i64;
-    let accel_of =
-        |name: &str| -> Option<usize> { artifacts.hls.iter().position(|(nm, _)| nm == name) };
+    let accel_of = |name: &str| {
+        artifacts
+            .hls
+            .iter()
+            .position(|(nm, _)| nm == name)
+            .ok_or_else(|| FlowError::MissingKernel {
+                node: name.to_string(),
+            })
+    };
     match arch {
         Arch::Arch1 => {
             // HW: computeHistogram. in: gray bytes; out: 256 u32.
             let in_bytes: Vec<u8> = gray.iter().map(|&v| v as u8).collect();
-            board.dram.load_bytes(IN_BUF, &in_bytes).unwrap();
+            board.dram.load_bytes(IN_BUF, &in_bytes)?;
             let stats = board.run_stream_phase(
                 &[(
                     0,
@@ -272,9 +288,9 @@ fn hw_phase(
                         len: 256 * 4,
                     },
                 )],
-                &[(accel_of("computeHistogram").unwrap(), "n", n)],
+                &[(accel_of("computeHistogram")?, "n", n)],
             )?;
-            let out = board.dram.dump_bytes(OUT_BUF, 256 * 4).unwrap();
+            let out = board.dram.dump_bytes(OUT_BUF, 256 * 4)?;
             Ok(HwPhase {
                 hist: bytes_to_u32s(&out),
                 thr: None,
@@ -286,7 +302,7 @@ fn hw_phase(
         Arch::Arch2 => {
             // HW: halfProbability over the software-computed histogram.
             let in_bytes = u32s_to_bytes(hist_in);
-            board.dram.load_bytes(IN_BUF, &in_bytes).unwrap();
+            board.dram.load_bytes(IN_BUF, &in_bytes)?;
             let stats = board.run_stream_phase(
                 &[(
                     0,
@@ -304,7 +320,7 @@ fn hw_phase(
                 )],
                 &[],
             )?;
-            let thr = board.dram.dump_bytes(OUT_BUF, 4).unwrap()[0];
+            let thr = board.dram.dump_bytes(OUT_BUF, 4)?[0];
             Ok(HwPhase {
                 hist: Vec::new(),
                 thr: Some(thr),
@@ -316,7 +332,7 @@ fn hw_phase(
         Arch::Arch3 => {
             // HW: computeHistogram -> halfProbability chained.
             let in_bytes: Vec<u8> = gray.iter().map(|&v| v as u8).collect();
-            board.dram.load_bytes(IN_BUF, &in_bytes).unwrap();
+            board.dram.load_bytes(IN_BUF, &in_bytes)?;
             let stats = board.run_stream_phase(
                 &[(
                     0,
@@ -332,9 +348,9 @@ fn hw_phase(
                         len: 4,
                     },
                 )],
-                &[(accel_of("computeHistogram").unwrap(), "n", n)],
+                &[(accel_of("computeHistogram")?, "n", n)],
             )?;
-            let thr = board.dram.dump_bytes(OUT_BUF, 4).unwrap()[0];
+            let thr = board.dram.dump_bytes(OUT_BUF, 4)?[0];
             Ok(HwPhase {
                 hist: Vec::new(),
                 thr: Some(thr),
@@ -346,7 +362,7 @@ fn hw_phase(
         Arch::Arch4 => {
             // Whole pipeline in HW: RGB in, segmented image out.
             let in_bytes = u32s_to_bytes(&input.data);
-            board.dram.load_bytes(IN_BUF, &in_bytes).unwrap();
+            board.dram.load_bytes(IN_BUF, &in_bytes)?;
             let stats = board.run_stream_phase(
                 &[(
                     0,
@@ -363,12 +379,12 @@ fn hw_phase(
                     },
                 )],
                 &[
-                    (accel_of("grayScale").unwrap(), "n", n),
-                    (accel_of("computeHistogram").unwrap(), "n", n),
-                    (accel_of("segment").unwrap(), "n", n),
+                    (accel_of("grayScale")?, "n", n),
+                    (accel_of("computeHistogram")?, "n", n),
+                    (accel_of("segment")?, "n", n),
                 ],
             )?;
-            let seg = board.dram.dump_bytes(OUT_BUF, input.data.len()).unwrap();
+            let seg = board.dram.dump_bytes(OUT_BUF, input.data.len())?;
             // The threshold never leaves the PL in Arch4 (it flows core to
             // core); recompute it host-side for reporting only — no CPU
             // time charged.
@@ -675,6 +691,47 @@ mod tests {
             assert_eq!(run.output, expect, "{arch:?} pixels");
             assert!(run.total_ns > 0.0);
         }
+    }
+
+    /// DRAM ending below the fixed DMA buffers is a typed DMA memory
+    /// fault, not a panic (serve admission accepts such a job: it sizes
+    /// the image, not the buffer addresses).
+    #[test]
+    fn dram_below_the_dma_buffers_is_a_typed_error() {
+        let rgb = RgbImage::from_gray(&synthetic_scene(16, 16, 5));
+        let mut engine = otsu_flow_engine();
+        let art = engine
+            .run_source(&crate::archs::arch_dsl_source(Arch::Arch4))
+            .unwrap();
+        let cfg = AppConfig {
+            dram_bytes: 64 << 10,
+            ..AppConfig::default()
+        };
+        let err = run_application_with(Arch::Arch4, &engine, &art, &rgb, &cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AppError::Board(BoardError::Dma(DmaError::Mem(MemError::OutOfRange { .. })))
+            ),
+            "{err}"
+        );
+    }
+
+    /// Artifacts lacking an accelerator the architecture's hardware phase
+    /// drives are a typed missing-kernel error, not a panic.
+    #[test]
+    fn artifacts_of_another_architecture_are_a_typed_error() {
+        let rgb = RgbImage::from_gray(&synthetic_scene(16, 16, 5));
+        let mut engine = otsu_flow_engine();
+        let art = engine
+            .run_source(&crate::archs::arch_dsl_source(Arch::Arch1))
+            .unwrap();
+        let err = run_application_with(Arch::Arch4, &engine, &art, &rgb, &AppConfig::default())
+            .unwrap_err();
+        assert!(
+            matches!(&err, AppError::Flow(FlowError::MissingKernel { node }) if node == "grayScale"),
+            "{err}"
+        );
     }
 
     #[test]

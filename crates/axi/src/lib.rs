@@ -1,26 +1,18 @@
-//! # accelsoc-axi — transaction-level AXI protocol models
+//! # accelsoc-axi — DMA transfers over a memory port
 //!
-//! The paper's target platform interconnects everything with AMBA/AXI: the
-//! **AXI-Lite** protocol for memory-mapped control traffic (configuring
-//! accelerators, reading status/results) and **AXI-Stream** for bulk
-//! producer/consumer data movement, fronted by **DMA** engines on the Zynq
-//! HP ports.
+//! The paper's flow puts an `axi_dma` core on every `'soc`-terminated
+//! AXI-Stream link: MM2S reads a DRAM buffer into the head of an
+//! accelerator pipeline, S2MM writes the tail back.
 //!
-//! This crate models those protocols at transaction level with cycle
-//! annotations: operations return the number of bus cycles they consume,
-//! and the discrete-event platform simulator (`accelsoc-platform`) turns
-//! those into simulated time. Functional correctness (routing, data
-//! integrity, FIFO ordering, backpressure) is exact; timing is a
-//! calibrated model.
+//! This crate models that DMA at transaction level: descriptors and
+//! their validation, the functional MM2S unpack / S2MM pack between DRAM
+//! bytes and stream tokens, the per-transfer cycle cost model, and the
+//! [`MemoryPort`] contract the platform's DRAM implements. Stream timing
+//! (FIFO occupancy, backpressure, HP-port contention) lives in the
+//! platform's token-count cycle simulation (`accelsoc-platform`).
 
 pub mod dma;
-pub mod link;
-pub mod lite;
 pub mod protocol;
-pub mod stream;
 
 pub use dma::{DmaDescriptor, DmaEngine, DmaError, DmaStats};
-pub use link::{LinkEndpoints, LinkTransfer};
-pub use lite::{AddressMap, AxiLiteBus, AxiLiteError, AxiLiteSlave, RegisterFile};
-pub use protocol::{AxiResp, MemError, MemoryPort};
-pub use stream::{AxiStreamChannel, Beat, StreamError};
+pub use protocol::{MemError, MemoryPort};

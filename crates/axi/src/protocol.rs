@@ -1,18 +1,6 @@
-//! Common protocol types shared by the AXI models.
+//! The memory-port contract DMA transfers read and write through.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// AXI response codes (subset relevant at transaction level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AxiResp {
-    /// OKAY — transfer succeeded.
-    Okay,
-    /// SLVERR — the addressed slave signalled an error.
-    SlvErr,
-    /// DECERR — no slave decodes the address.
-    DecErr,
-}
 
 /// Errors raised by memory-port accesses.
 #[derive(Debug, Clone, PartialEq, Eq)]

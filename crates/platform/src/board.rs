@@ -1,26 +1,27 @@
-//! The assembled board: DRAM + CPU + AXI-Lite bus + stream topology +
-//! DMA engines + accelerators.
+//! The assembled board: DRAM + CPU + stream topology + DMA engines +
+//! accelerators.
 //!
 //! Two execution styles, matching the paper's two interconnect kinds:
 //!
 //! * [`Board::invoke_lite`] — memory-mapped invocation of one core: the
 //!   host writes argument registers over AXI-Lite, starts the core, polls
-//!   for completion and reads results (ADD/MULT style in Fig. 4).
+//!   for completion and reads results (ADD/MULT style in Fig. 4). The bus
+//!   is a cost model: transactions per argument, start, poll and result.
 //! * [`Board::run_stream_phase`] — a streaming phase: MM2S DMA feeds the
 //!   head of an accelerator pipeline, cores fire as data arrives, S2MM
-//!   DMA collects the tail back to DRAM (GAUSS→EDGE style). Timing uses a
-//!   steady-state pipeline model: transfers and computation overlap, so
-//!   the makespan is the pipeline fill plus the *slowest* stage, not the
-//!   sum of stages.
+//!   DMA collects the tail back to DRAM (GAUSS→EDGE style). Function and
+//!   timing are split: a functional pass moves DRAM bytes into tokens,
+//!   fires the cores in feed-forward order and packs the results back;
+//!   the co-scheduled bounded-FIFO cycle simulation ([`crate::cosim`])
+//!   then replays the per-link token counts for timing, so transfers and
+//!   computation overlap and backpressure shows up in the stall counters.
 
 use crate::accel::AccelInstance;
 use crate::cosim::{self, CosimPhase, SinkSpec, SourceSpec, StagePort, StageSpec};
 use crate::cpu::Cpu;
 use crate::memory::Dram;
 use crate::PL_CLK_NS;
-use accelsoc_axi::dma::{DmaDescriptor, DmaEngine, DmaError, DmaStats, Mm2sTransfer, S2mmTransfer};
-use accelsoc_axi::lite::AxiLiteBus;
-use accelsoc_axi::stream::{AxiStreamChannel, Beat};
+use accelsoc_axi::dma::{DmaDescriptor, DmaEngine, DmaError};
 use accelsoc_kernel::interp::{ExecError, StreamBundle};
 use accelsoc_observe::{null_observer, FlowEvent, SharedObserver};
 use std::collections::HashMap;
@@ -145,7 +146,6 @@ pub struct PhaseStats {
 pub struct Board {
     pub dram: Dram,
     pub cpu: Cpu,
-    pub bus: AxiLiteBus,
     pub accels: Vec<AccelInstance>,
     pub dmas: Vec<DmaEngine>,
     pub links: Vec<StreamLink>,
@@ -171,7 +171,6 @@ impl Board {
         Board {
             dram: Dram::new(dram_bytes),
             cpu: Cpu::cortex_a9(),
-            bus: AxiLiteBus::new(),
             accels: Vec::new(),
             dmas: Vec::new(),
             links: Vec::new(),
@@ -195,8 +194,7 @@ impl Board {
     }
 
     pub fn add_dma(&mut self) -> usize {
-        self.dmas
-            .push(DmaEngine::new(&format!("dma{}", self.dmas.len())));
+        self.dmas.push(DmaEngine::default());
         self.dmas.len() - 1
     }
 
@@ -354,15 +352,15 @@ impl Board {
         // pass, indexed like `self.links` — the cycle simulation replays
         // exactly this traffic over bounded FIFOs.
         let mut link_tokens = vec![0u64; self.links.len()];
-        // DMA endpoints observed this phase, for the cycle simulation:
-        // (link index, beats, bytes per beat, setup, burst beats, burst
-        // overhead, stage label).
-        let mut src_specs: Vec<(usize, u64, u64, u64, u64, u64, String)> = Vec::new();
-        let mut sink_specs: Vec<(usize, u64, u64, u64, u64, u64, String)> = Vec::new();
+        // The cycle simulation: one FIFO per stream link; DMA endpoints
+        // join as their transfers complete, stages after the firing pass.
+        let mut phase = CosimPhase::default();
+        for _ in &self.links {
+            phase.add_fifo(self.stream_fifo_depth as u64);
+        }
 
-        // 1. MM2S: DRAM -> head channels, co-scheduled with the inbox
-        // drain over a bounded FIFO (the resumable state machine stalls
-        // whenever the FIFO fills; the drain frees it).
+        // 1. MM2S: one DRAM read per descriptor, unpacked into the
+        // tokens the head accelerator consumes.
         for (dma_idx, desc) in inputs {
             // Find the link leaving this DMA.
             let (link_idx, link) = self
@@ -370,45 +368,33 @@ impl Board {
                 .iter()
                 .enumerate()
                 .find(|(_, l)| l.from == Endpoint::Dma(*dma_idx))
-                .map(|(i, l)| (i, l.clone()))
                 .ok_or(BoardError::UnknownDma(*dma_idx))?;
             let (accel, port) = match &link.to {
                 Endpoint::Accel { accel, port } => (*accel, port.clone()),
                 Endpoint::Dma(_) => continue, // DMA->DMA loopback: nothing to compute
             };
-            let bits = self.endpoint_bits(&link.to, true)?.unwrap_or(32);
-            let mut ch = AxiStreamChannel::new("mm2s", bits, self.stream_fifo_depth);
-            let mut xfer = Mm2sTransfer::start(&mut self.dram, *desc, ch.beat_bytes())?;
-            let mut tokens: Vec<i64> = Vec::new();
-            while !xfer.is_done() || !ch.is_empty() {
-                xfer.pump(&mut ch, self.stream_fifo_depth as u64);
-                while let Some(b) = ch.pop() {
-                    tokens.push(b.data as i64);
-                }
-            }
+            let beat_bytes = self
+                .endpoint_bits(&link.to, true)?
+                .unwrap_or(32)
+                .div_ceil(8);
             let dma = self
                 .dmas
-                .get_mut(*dma_idx)
+                .get(*dma_idx)
                 .ok_or(BoardError::UnknownDma(*dma_idx))?;
-            let st = DmaStats {
-                bytes: desc.len,
-                beats: xfer.beats_total(),
-                cycles: dma.cycles_for(xfer.beats_total()),
-            };
-            dma.record(st);
+            let (tokens, st) = dma.mm2s(&mut self.dram, *desc, beat_bytes)?;
             stats.bytes_in += st.bytes;
-            dma_bursts += st.beats.div_ceil(dma.burst_beats as u64);
-            let label = format!("dma{dma_idx}:mm2s");
-            stats.per_stage.push((label.clone(), st.cycles));
-            src_specs.push((
-                link_idx,
-                st.beats,
-                ch.beat_bytes() as u64,
-                dma.setup_cycles as u64,
-                dma.burst_beats as u64,
-                dma.burst_overhead_cycles as u64,
-                label,
-            ));
+            dma_bursts += dma.bursts(st.beats);
+            let name = format!("dma{dma_idx}:mm2s");
+            stats.per_stage.push((name.clone(), st.cycles));
+            phase.sources.push(SourceSpec {
+                name,
+                beats: st.beats,
+                bytes_per_beat: beat_bytes as u64,
+                setup_cycles: dma.setup_cycles as u64,
+                burst_beats: dma.burst_beats as u64,
+                burst_overhead: dma.burst_overhead_cycles as u64,
+                out_fifo: link_idx,
+            });
             link_tokens[link_idx] += tokens.len() as u64;
             inbox.entry((accel, port)).or_default().extend(tokens);
         }
@@ -417,7 +403,7 @@ impl Board {
         let order = self.topo_order()?;
         // Collect (dma_idx -> tokens,width) for S2MM exits.
         let mut outbox: HashMap<usize, (Vec<i64>, u32)> = HashMap::new();
-        for accel_idx in order {
+        for &accel_idx in &order {
             // Skip accelerators not participating in this phase (no inputs
             // queued and no links at all).
             let participates = self.links.iter().any(|l| {
@@ -492,96 +478,46 @@ impl Board {
             }
         }
 
-        // 3. S2MM: tail channels -> DRAM, again co-scheduled over a
-        // bounded FIFO: the producer refills as the resumable S2MM state
-        // machine drains, and the FIFO never exceeds its capacity.
+        // 3. S2MM: pack each exit's tokens and write them to DRAM in one
+        // access. A stream longer than its buffer is a typed overrun
+        // here, before any cycle is simulated, whatever the FIFO depth.
         for (dma_idx, desc) in outputs {
-            let (tokens, bits) = outbox.remove(dma_idx).unwrap_or((Vec::new(), 32));
-            let n = tokens.len();
-            if n == 0 {
+            let (tokens, bits) = outbox.remove(dma_idx).unwrap_or_default();
+            if tokens.is_empty() {
                 continue;
             }
             let link_idx = self
                 .links
                 .iter()
                 .position(|l| l.to == Endpoint::Dma(*dma_idx));
-            let mut ch = AxiStreamChannel::new("s2mm", bits, self.stream_fifo_depth);
-            let mut xfer = S2mmTransfer::start(*desc, ch.beat_bytes())?;
-            let mut iter = tokens.into_iter().enumerate();
-            let mut pending = iter.next();
-            while !xfer.is_done() {
-                while let Some((i, t)) = pending {
-                    if !ch.can_push() {
-                        pending = Some((i, t));
-                        break;
-                    }
-                    // `can_push` was just checked, but treat a refused
-                    // push as a stall (the beat stays pending) rather
-                    // than a panic — a malformed phase must surface as
-                    // a typed error or a stall, never a crash.
-                    let beat = Beat {
-                        data: t as u64,
-                        last: i + 1 == n,
-                    };
-                    if ch.push(beat).is_err() {
-                        pending = Some((i, t));
-                        break;
-                    }
-                    pending = iter.next();
-                }
-                let moved = xfer.pump(&mut ch, self.stream_fifo_depth as u64)?;
-                if moved == 0 && pending.is_none() && ch.is_empty() {
-                    break;
-                }
-            }
+            let beat_bytes = bits.div_ceil(8);
             let dma = self
                 .dmas
-                .get_mut(*dma_idx)
+                .get(*dma_idx)
                 .ok_or(BoardError::UnknownDma(*dma_idx))?;
-            let (bytes, beats) = xfer.finish(&mut self.dram)?;
-            let st = DmaStats {
-                bytes,
-                beats,
-                cycles: dma.cycles_for(beats),
-            };
-            dma.record(st);
+            let st = dma.s2mm(&mut self.dram, *desc, beat_bytes, &tokens)?;
             stats.bytes_out += st.bytes;
-            dma_bursts += st.beats.div_ceil(dma.burst_beats as u64);
-            let label = format!("dma{dma_idx}:s2mm");
-            stats.per_stage.push((label.clone(), st.cycles));
-            if let Some(li) = link_idx {
-                sink_specs.push((
-                    li,
-                    st.beats,
-                    ch.beat_bytes() as u64,
-                    dma.setup_cycles as u64,
-                    dma.burst_beats as u64,
-                    dma.burst_overhead_cycles as u64,
-                    label,
-                ));
+            dma_bursts += dma.bursts(st.beats);
+            let name = format!("dma{dma_idx}:s2mm");
+            stats.per_stage.push((name.clone(), st.cycles));
+            if let Some(in_fifo) = link_idx {
+                phase.sinks.push(SinkSpec {
+                    name,
+                    beats: st.beats,
+                    bytes_per_beat: beat_bytes as u64,
+                    setup_cycles: dma.setup_cycles as u64,
+                    burst_beats: dma.burst_beats as u64,
+                    burst_overhead: dma.burst_overhead_cycles as u64,
+                    in_fifo,
+                });
             }
         }
 
         // 4. Timing: replay the phase's traffic through the co-scheduled
-        // bounded-FIFO cycle simulation — one FIFO per stream link, one
-        // stage per participating accelerator, MM2S/S2MM endpoints
-        // sharing the HP port's per-cycle byte budget.
-        let mut phase = CosimPhase::default();
-        for _ in &self.links {
-            phase.add_fifo(self.stream_fifo_depth as u64);
-        }
-        for (li, beats, bpb, setup, bb, bo, name) in src_specs {
-            phase.sources.push(SourceSpec {
-                name,
-                beats,
-                bytes_per_beat: bpb,
-                setup_cycles: setup,
-                burst_beats: bb,
-                burst_overhead: bo,
-                out_fifo: li,
-            });
-        }
-        for accel_idx in self.topo_order()? {
+        // bounded-FIFO cycle simulation — one stage per participating
+        // accelerator, MM2S/S2MM endpoints sharing the HP port's
+        // per-cycle byte budget.
+        for accel_idx in order {
             let inputs: Vec<StagePort> = self
                 .links
                 .iter()
@@ -616,17 +552,6 @@ impl Board {
                 ii: a.ii_max(),
                 inputs,
                 outputs,
-            });
-        }
-        for (li, beats, bpb, setup, bb, bo, name) in sink_specs {
-            phase.sinks.push(SinkSpec {
-                name,
-                beats,
-                bytes_per_beat: bpb,
-                setup_cycles: setup,
-                burst_beats: bb,
-                burst_overhead: bo,
-                in_fifo: li,
             });
         }
         let r = cosim::run(&phase, self.hp_bytes_per_cycle, self.max_sim_cycles);
@@ -767,80 +692,65 @@ mod tests {
         assert!(stats.steady_cycles < sum);
     }
 
-    #[test]
-    fn hp_bandwidth_bounds_steady_state() {
-        // A wide pipeline (II = 1) moving lots of bytes: with a crippled
-        // HP port, the port — not the compute — sets the phase time.
-        let mut fast = Board::new(1 << 20);
-        let a1 = fast.add_accel(make_accel(inc_kernel("S1")));
-        let din = fast.add_dma();
-        let dout = fast.add_dma();
-        fast.link(
+    /// A board with one INC stage between two DMA engines:
+    /// (board, stage, MM2S dma, S2MM dma).
+    fn inc_board(dram_bytes: usize) -> (Board, usize, usize, usize) {
+        let mut b = Board::new(dram_bytes);
+        let a = b.add_accel(make_accel(inc_kernel("S1")));
+        let din = b.add_dma();
+        let dout = b.add_dma();
+        b.link(
             Endpoint::Dma(din),
             Endpoint::Accel {
-                accel: a1,
+                accel: a,
                 port: "in".into(),
             },
         )
         .unwrap();
-        fast.link(
+        b.link(
             Endpoint::Accel {
-                accel: a1,
+                accel: a,
                 port: "out".into(),
             },
             Endpoint::Dma(dout),
         )
         .unwrap();
-        let mut slow = Board::new(1 << 20);
-        slow.hp_bytes_per_cycle = 1; // starved port
-        let b1 = slow.add_accel(make_accel(inc_kernel("S1")));
-        let din2 = slow.add_dma();
-        let dout2 = slow.add_dma();
-        slow.link(
-            Endpoint::Dma(din2),
-            Endpoint::Accel {
-                accel: b1,
-                port: "in".into(),
-            },
-        )
-        .unwrap();
-        slow.link(
-            Endpoint::Accel {
-                accel: b1,
-                port: "out".into(),
-            },
-            Endpoint::Dma(dout2),
-        )
-        .unwrap();
+        (b, a, din, dout)
+    }
 
+    /// Stream `n` bytes from `src` through the INC stage of
+    /// [`inc_board`] into an `out_len`-byte buffer at `dst`.
+    fn run_inc(
+        (b, a, din, dout): &mut (Board, usize, usize, usize),
+        n: u64,
+        (src, dst): (u64, u64),
+        out_len: u64,
+    ) -> Result<PhaseStats, BoardError> {
+        b.run_stream_phase(
+            &[(*din, DmaDescriptor { addr: src, len: n })],
+            &[(
+                *dout,
+                DmaDescriptor {
+                    addr: dst,
+                    len: out_len,
+                },
+            )],
+            &[(*a, "n", n as i64)],
+        )
+    }
+
+    #[test]
+    fn hp_bandwidth_bounds_steady_state() {
+        // A wide pipeline (II = 1) moving lots of bytes: with a crippled
+        // HP port, the port — not the compute — sets the phase time.
+        let mut fast = inc_board(1 << 20);
+        let mut slow = inc_board(1 << 20);
+        slow.0.hp_bytes_per_cycle = 1; // starved port
         let data = vec![7u8; 4096];
-        for (board, a, di, do_) in [(&mut fast, a1, din, dout), (&mut slow, b1, din2, dout2)] {
-            board.dram.load_bytes(0x1000, &data).unwrap();
-            let _ = (a, di, do_);
-        }
-        let run = |board: &mut Board, a: usize, di: usize, do_: usize| {
-            board
-                .run_stream_phase(
-                    &[(
-                        di,
-                        DmaDescriptor {
-                            addr: 0x1000,
-                            len: 4096,
-                        },
-                    )],
-                    &[(
-                        do_,
-                        DmaDescriptor {
-                            addr: 0x8000,
-                            len: 4096,
-                        },
-                    )],
-                    &[(a, "n", 4096)],
-                )
-                .unwrap()
-        };
-        let f = run(&mut fast, a1, din, dout);
-        let s = run(&mut slow, b1, din2, dout2);
+        fast.0.dram.load_bytes(0x1000, &data).unwrap();
+        slow.0.dram.load_bytes(0x1000, &data).unwrap();
+        let f = run_inc(&mut fast, 4096, (0x1000, 0x8000), 4096).unwrap();
+        let s = run_inc(&mut slow, 4096, (0x1000, 0x8000), 4096).unwrap();
         assert!(s.total_cycles > f.total_cycles);
         // 8192 bytes over 1 B/cycle = 8192 cycles lower bound.
         assert!(s.total_cycles >= 8192);
@@ -853,49 +763,11 @@ mod tests {
         // Same single-stage pipeline twice; the shallow-FIFO board must
         // report strictly more producer stalls and no fewer cycles.
         let build = |depth: usize| {
-            let mut b = Board::new(1 << 20);
-            b.stream_fifo_depth = depth;
-            let a = b.add_accel(make_accel(inc_kernel("S1")));
-            let din = b.add_dma();
-            let dout = b.add_dma();
-            b.link(
-                Endpoint::Dma(din),
-                Endpoint::Accel {
-                    accel: a,
-                    port: "in".into(),
-                },
-            )
-            .unwrap();
-            b.link(
-                Endpoint::Accel {
-                    accel: a,
-                    port: "out".into(),
-                },
-                Endpoint::Dma(dout),
-            )
-            .unwrap();
-            let data = vec![9u8; 2048];
-            b.dram.load_bytes(0x1000, &data).unwrap();
-            let stats = b
-                .run_stream_phase(
-                    &[(
-                        din,
-                        DmaDescriptor {
-                            addr: 0x1000,
-                            len: 2048,
-                        },
-                    )],
-                    &[(
-                        dout,
-                        DmaDescriptor {
-                            addr: 0x8000,
-                            len: 2048,
-                        },
-                    )],
-                    &[(a, "n", 2048)],
-                )
-                .unwrap();
-            (stats, b.dram.dump_bytes(0x8000, 4).unwrap())
+            let mut board = inc_board(1 << 20);
+            board.0.stream_fifo_depth = depth;
+            board.0.dram.load_bytes(0x1000, &[9u8; 2048]).unwrap();
+            let stats = run_inc(&mut board, 2048, (0x1000, 0x8000), 2048).unwrap();
+            (stats, board.0.dram.dump_bytes(0x8000, 4).unwrap())
         };
         let (shallow, out_shallow) = build(1);
         let (deep, out_deep) = build(64);
@@ -907,52 +779,46 @@ mod tests {
         assert!(shallow.backpressure_stall_cycles > 0);
     }
 
+    /// An S2MM buffer shorter than the stream is the same typed overrun
+    /// at every FIFO depth, raised before DRAM is written and before the
+    /// cycle simulation runs (which would emit `SimPhaseDone`).
+    #[test]
+    fn s2mm_overrun_is_one_typed_error_at_every_fifo_depth() {
+        use accelsoc_observe::CollectObserver;
+        use std::sync::Arc;
+        for depth in [1, 3, 4, 16] {
+            let collect = Arc::new(CollectObserver::new());
+            let mut board = inc_board(1 << 16);
+            board.0.set_observer(collect.clone());
+            board.0.stream_fifo_depth = depth;
+            board.0.max_sim_cycles = 1;
+            board.0.dram.load_bytes(0x100, &[5u8; 32]).unwrap();
+            let written = board.0.dram.bytes_written;
+            let err = run_inc(&mut board, 32, (0x100, 0x200), 16).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    BoardError::Dma(DmaError::BufferOverrun {
+                        got: 32,
+                        capacity: 16
+                    })
+                ),
+                "depth {depth}: {err}"
+            );
+            assert!(collect.events().is_empty(), "depth {depth}: simulated");
+            assert_eq!(board.0.dram.bytes_written, written, "depth {depth}");
+        }
+    }
+
     #[test]
     fn stream_phase_emits_sim_counters() {
         use accelsoc_observe::{CollectObserver, FlowEvent};
         use std::sync::Arc;
         let collect = Arc::new(CollectObserver::new());
-        let mut b = Board::new(1 << 16);
-        b.set_observer(collect.clone());
-        let s1 = b.add_accel(make_accel(inc_kernel("S1")));
-        let din = b.add_dma();
-        let dout = b.add_dma();
-        b.link(
-            Endpoint::Dma(din),
-            Endpoint::Accel {
-                accel: s1,
-                port: "in".into(),
-            },
-        )
-        .unwrap();
-        b.link(
-            Endpoint::Accel {
-                accel: s1,
-                port: "out".into(),
-            },
-            Endpoint::Dma(dout),
-        )
-        .unwrap();
-        b.dram.load_bytes(0x100, &[1, 2, 3, 4]).unwrap();
-        let stats = b
-            .run_stream_phase(
-                &[(
-                    din,
-                    DmaDescriptor {
-                        addr: 0x100,
-                        len: 4,
-                    },
-                )],
-                &[(
-                    dout,
-                    DmaDescriptor {
-                        addr: 0x200,
-                        len: 4,
-                    },
-                )],
-                &[(s1, "n", 4)],
-            )
-            .unwrap();
+        let mut board = inc_board(1 << 16);
+        board.0.set_observer(collect.clone());
+        board.0.dram.load_bytes(0x100, &[1, 2, 3, 4]).unwrap();
+        let stats = run_inc(&mut board, 4, (0x100, 0x200), 4).unwrap();
         let events = collect.events();
         match events.as_slice() {
             [FlowEvent::SimPhaseDone {

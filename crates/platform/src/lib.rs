@@ -13,10 +13,11 @@
 //! * [`accel::AccelInstance`] — a PL accelerator whose *function* is the
 //!   kernel interpreter and whose *timing* comes from its HLS report
 //!   (initiation interval × tokens + startup);
-//! * [`board::Board`] — the assembled system: AXI-Lite control bus,
-//!   AXI-Stream topology, DMA engines, DRAM, accelerators; it can execute
-//!   memory-mapped core invocations and streaming phases functionally and
-//!   return cycle-accurate-ish statistics;
+//! * [`board::Board`] — the assembled system: AXI-Stream topology, DMA
+//!   engines, DRAM, accelerators; it executes memory-mapped core
+//!   invocations (with an AXI-Lite transaction cost model) and streaming
+//!   phases (DMA bytes unpacked into tokens, cores fired in feed-forward
+//!   order, results packed back) functionally, and times them;
 //! * [`cosim`] — the co-scheduled bounded-FIFO cycle simulation behind
 //!   streaming-phase timing: every DMA endpoint and accelerator steps one
 //!   PL cycle at a time over integer-occupancy FIFOs, surfacing

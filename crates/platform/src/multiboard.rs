@@ -29,7 +29,6 @@
 //! parallelism.
 
 use crate::sim::ns_from_ps;
-use accelsoc_axi::link::LinkEndpoints;
 use accelsoc_observe::{FlowEvent, FlowObserver};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -123,7 +122,8 @@ pub struct LinkStats {
     pub backpressure_ps: u64,
     /// Wire-busy time attributable to this link.
     pub busy_ps: u64,
-    /// Word-level handshake stalls counted by the AXI-Stream FIFO.
+    /// Word-level handshake stalls: pushes that found the receive FIFO
+    /// full, i.e. one per word of a packet past the FIFO depth.
     pub handshake_stalls: u64,
     /// `busy_ps` over the run makespan.
     pub occupancy: f64,
@@ -178,6 +178,14 @@ enum Ev {
     Ready(usize),
 }
 
+/// Word-level handshake stalls of `packets` packets of `words` words
+/// each through a `fifo_depth`-word receive FIFO (at least one word)
+/// that starts every packet empty, with the receiver draining one word
+/// per stalled push: every word past the FIFO depth stalls once.
+fn handshake_stalls(packets: u64, words: u64, fifo_depth: usize) -> u64 {
+    packets * words.saturating_sub(fifo_depth.max(1) as u64)
+}
+
 /// Run the co-simulation. Emits a [`FlowEvent::MultiBoardSimDone`] on
 /// completion.
 pub fn simulate(
@@ -187,7 +195,7 @@ pub fn simulate(
     check(spec)?;
     let n = spec.nodes.len();
 
-    // Link lookup by (src, dst) node pair, plus functional endpoints.
+    // Link lookup by (src, dst) node pair.
     let mut link_of_edge: Vec<Option<usize>> = vec![None; spec.edges.len()];
     for (ei, &(s, d)) in spec.edges.iter().enumerate() {
         if spec.nodes[s].board != spec.nodes[d].board {
@@ -199,11 +207,6 @@ pub fn simulate(
             link_of_edge[ei] = Some(li);
         }
     }
-    let mut endpoints: Vec<LinkEndpoints> = spec
-        .links
-        .iter()
-        .map(|l| LinkEndpoints::new(&format!("link{}", l.id), l.width_bits, l.fifo_depth))
-        .collect();
 
     let mut pending: Vec<usize> = vec![0; n];
     for &(_, d) in &spec.edges {
@@ -326,9 +329,6 @@ pub fn simulate(
                 acc.rx_wait += t_rx - wire_arrival;
                 acc.backpressure += tx_done - (t_tx + serial);
                 acc.busy += tx_done - t_tx;
-                // Word-level handshake through the AXI-Stream FIFO (the
-                // functional counterpart of the closed-form timing).
-                endpoints[li].transfer_packet(link.words);
 
                 let d = link.dst;
                 arrival[d] = arrival[d].max(rx_done);
@@ -384,7 +384,7 @@ pub fn simulate(
                 rx_wait_ps: acc.rx_wait,
                 backpressure_ps: acc.backpressure,
                 busy_ps: acc.busy,
-                handshake_stalls: endpoints[li].backpressure_events(),
+                handshake_stalls: handshake_stalls(acc.packets, l.words, l.fifo_depth),
                 occupancy: acc.busy as f64 / span,
             }
         })
@@ -466,6 +466,7 @@ fn check(spec: &MultiBoardSpec) -> Result<(), MultiBoardError> {
 mod tests {
     use super::*;
     use accelsoc_observe::{CollectObserver, NullObserver};
+    use proptest::prelude::*;
 
     fn node(name: &str, board: usize, compute_ps: u64) -> MbNode {
         MbNode {
@@ -581,6 +582,49 @@ mod tests {
             simulate(&spec, &NullObserver).unwrap_err(),
             MultiBoardError::LinkEdgeMismatch(_)
         ));
+    }
+
+    /// The push/pop handshake [`handshake_stalls`] stands for: the tx
+    /// side pushes each packet into an empty FIFO, and a push that finds
+    /// it full makes the rx side drain one word first.
+    fn handshake_reference(packets: u64, words: u64, fifo_depth: usize) -> u64 {
+        let capacity = fifo_depth.max(1) as u64;
+        let mut stalls = 0;
+        for _ in 0..packets {
+            let (mut occupancy, mut sent) = (0u64, 0u64);
+            while sent < words {
+                if occupancy < capacity {
+                    occupancy += 1;
+                    sent += 1;
+                } else {
+                    stalls += 1;
+                    occupancy -= 1;
+                }
+            }
+        }
+        stalls
+    }
+
+    #[test]
+    fn handshake_stalls_count_words_past_the_fifo_depth() {
+        for (packets, words, depth, stalls) in [(1, 16, 16, 0), (1, 100, 8, 92), (2, 10, 4, 12)] {
+            assert_eq!(handshake_stalls(packets, words, depth), stalls);
+            assert_eq!(handshake_reference(packets, words, depth), stalls);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn handshake_stalls_match_the_push_pop_model(
+            packets in 0u64..5,
+            words in 0u64..300,
+            depth in 0usize..40,
+        ) {
+            prop_assert_eq!(
+                handshake_stalls(packets, words, depth),
+                handshake_reference(packets, words, depth)
+            );
+        }
     }
 
     #[test]
