@@ -623,18 +623,17 @@ mod tests {
         let key = CacheKey::compute(&k, &opts);
         let result = synthesize_kernel_observed(&k, &opts, &NullObserver).unwrap();
 
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
                 let cache = HlsCache::persistent(&dir);
                 let result = result.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..16 {
                         cache.insert(key, "add", result.clone(), &NullObserver);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
 
         // Whatever interleaving happened, the file on disk is one
         // complete, valid entry.

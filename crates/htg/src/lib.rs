@@ -18,19 +18,15 @@
 //! phase is mapped entirely to hardware or entirely to software.
 //!
 //! This crate provides the graph data structures, validation (acyclicity,
-//! port consistency, dataflow rate balance), HW/SW partitioning bookkeeping,
-//! topological scheduling orders, and Graphviz export used by the rest of
-//! the workspace.
+//! port consistency, dataflow rate balance), HW/SW partitioning bookkeeping
+//! and topological scheduling orders used by the rest of the workspace.
 
 pub mod dataflow;
-pub mod dot;
 pub mod graph;
 pub mod partition;
-pub mod sdf;
 pub mod validate;
 
 pub use dataflow::{Actor, ActorId, DataflowGraph, Rate, StreamEdge, StreamId};
 pub use graph::{Htg, HtgError, NodeId, NodeKind, TaskNode, TopEdge, TransferKind};
 pub use partition::{Mapping, Partition, PartitionError};
-pub use sdf::{simulate, SdfError, SdfRun};
 pub use validate::{ValidationError, ValidationReport};

@@ -9,7 +9,7 @@
 //! pass *around* the per-board Vivado flow, not inside it.
 
 use crate::pack::{partition_observed, PartitionOptions};
-use crate::plan::{BoardPlan, PlanError};
+use crate::plan::{lower_spec, BoardPlan, PlanError};
 use accelsoc_core::flow::{FlowArtifacts, FlowEngine, FlowError};
 use accelsoc_core::htg_bridge::{lower_htg, BridgeError};
 use accelsoc_hls::resource::ResourceEstimate;
@@ -17,9 +17,7 @@ use accelsoc_htg::graph::Htg;
 use accelsoc_htg::partition::Partition;
 use accelsoc_integration::synth::CapacityExceeded;
 use accelsoc_kernel::ir::Kernel;
-use accelsoc_platform::multiboard::{
-    simulate, MbLink, MbNode, MultiBoardError, MultiBoardReport, MultiBoardSpec,
-};
+use accelsoc_platform::multiboard::{simulate, MultiBoardError, MultiBoardReport};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -136,46 +134,6 @@ impl PartitionedFlow {
                 })
             }
         }
-    }
-}
-
-/// Lower a plan + per-node compute times into the platform's spec.
-fn lower_spec(htg: &Htg, plan: &BoardPlan, compute_ps: &BTreeMap<String, u64>) -> MultiBoardSpec {
-    let nodes: Vec<MbNode> = htg
-        .node_ids()
-        .map(|id| {
-            let name = htg.name(id);
-            MbNode {
-                name: name.to_string(),
-                board: plan.board_of(name).expect("plan covers every node"),
-                compute_ps: compute_ps.get(name).copied().unwrap_or(0),
-            }
-        })
-        .collect();
-    let edges: Vec<(usize, usize)> = htg
-        .edges()
-        .iter()
-        .map(|e| (e.src.0 as usize, e.dst.0 as usize))
-        .collect();
-    let links: Vec<MbLink> = plan
-        .links
-        .iter()
-        .map(|l| MbLink {
-            id: l.id,
-            src: htg.lookup(&l.src_node).expect("link endpoints exist").0 as usize,
-            dst: htg.lookup(&l.dst_node).expect("link endpoints exist").0 as usize,
-            words: l.words(),
-            width_bits: l.width_bits,
-            word_ps: l.word_ps,
-            latency_ps: l.latency_ps,
-            fifo_depth: l.fifo_depth,
-        })
-        .collect();
-    MultiBoardSpec {
-        boards: plan.board_count(),
-        nodes,
-        edges,
-        links,
     }
 }
 

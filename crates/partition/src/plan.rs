@@ -4,6 +4,7 @@
 use accelsoc_hls::resource::ResourceEstimate;
 use accelsoc_htg::graph::Htg;
 use accelsoc_integration::device::Device;
+use accelsoc_platform::multiboard::{MbLink, MbNode, MultiBoardSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -161,6 +162,52 @@ impl BoardPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// Lower a validated plan + per-node compute times into the platform's
+/// board-neutral co-simulation spec. A node missing from `compute_ps`
+/// computes for 0 ps.
+pub(crate) fn lower_spec(
+    htg: &Htg,
+    plan: &BoardPlan,
+    compute_ps: &BTreeMap<String, u64>,
+) -> MultiBoardSpec {
+    let nodes: Vec<MbNode> = htg
+        .node_ids()
+        .map(|id| {
+            let name = htg.name(id);
+            MbNode {
+                name: name.to_string(),
+                board: plan.board_of(name).expect("plan covers every node"),
+                compute_ps: compute_ps.get(name).copied().unwrap_or(0),
+            }
+        })
+        .collect();
+    let edges: Vec<(usize, usize)> = htg
+        .edges()
+        .iter()
+        .map(|e| (e.src.0 as usize, e.dst.0 as usize))
+        .collect();
+    let links: Vec<MbLink> = plan
+        .links
+        .iter()
+        .map(|l| MbLink {
+            id: l.id,
+            src: htg.lookup(&l.src_node).expect("link endpoints exist").0 as usize,
+            dst: htg.lookup(&l.dst_node).expect("link endpoints exist").0 as usize,
+            words: l.words(),
+            width_bits: l.width_bits,
+            word_ps: l.word_ps,
+            latency_ps: l.latency_ps,
+            fifo_depth: l.fifo_depth,
+        })
+        .collect();
+    MultiBoardSpec {
+        boards: plan.board_count(),
+        nodes,
+        edges,
+        links,
     }
 }
 

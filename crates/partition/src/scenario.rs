@@ -28,7 +28,7 @@
 //! report is byte-identical across `--threads`.
 
 use crate::pack::{partition_observed, PartitionOptions};
-use crate::plan::{BoardPlan, PlanError};
+use crate::plan::{lower_spec, BoardPlan, PlanError};
 use accelsoc_apps::image::{synthetic_scene, RgbImage};
 use accelsoc_apps::{kernels, otsu};
 use accelsoc_dse::otsu::otsu_chain_model_cached;
@@ -38,9 +38,7 @@ use accelsoc_htg::graph::{Htg, TaskNode, TransferKind};
 use accelsoc_integration::device::Device;
 use accelsoc_kernel::interp::{ExecError, Interpreter, StreamBundle};
 use accelsoc_observe::{FlowObserver, NullObserver};
-use accelsoc_platform::multiboard::{
-    simulate, MbLink, MbNode, MultiBoardError, MultiBoardReport, MultiBoardSpec,
-};
+use accelsoc_platform::multiboard::{simulate, MultiBoardError, MultiBoardReport};
 use accelsoc_platform::sim::ps_from_ns;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -311,51 +309,6 @@ pub fn scaled_otsu_htg(
     (htg, areas, compute_ps)
 }
 
-/// Lower a validated plan + per-node compute times into the platform's
-/// board-neutral co-simulation spec.
-fn lower_to_spec(
-    htg: &Htg,
-    plan: &BoardPlan,
-    compute_ps: &BTreeMap<String, u64>,
-) -> MultiBoardSpec {
-    let nodes: Vec<MbNode> = htg
-        .node_ids()
-        .map(|id| {
-            let name = htg.name(id);
-            MbNode {
-                name: name.to_string(),
-                board: plan.board_of(name).expect("plan covers every node"),
-                compute_ps: compute_ps[name],
-            }
-        })
-        .collect();
-    let edges: Vec<(usize, usize)> = htg
-        .edges()
-        .iter()
-        .map(|e| (e.src.0 as usize, e.dst.0 as usize))
-        .collect();
-    let links: Vec<MbLink> = plan
-        .links
-        .iter()
-        .map(|l| MbLink {
-            id: l.id,
-            src: htg.lookup(&l.src_node).expect("link endpoints exist").0 as usize,
-            dst: htg.lookup(&l.dst_node).expect("link endpoints exist").0 as usize,
-            words: l.words(),
-            width_bits: l.width_bits,
-            word_ps: l.word_ps,
-            latency_ps: l.latency_ps,
-            fifo_depth: l.fifo_depth,
-        })
-        .collect();
-    MultiBoardSpec {
-        boards: plan.board_count(),
-        nodes,
-        edges,
-        links,
-    }
-}
-
 /// Run one chain's four kernels through the interpreter and compare with
 /// the scalar reference.
 fn run_chain(chain: usize, side: u32, seed: u64) -> Result<ChainResult, ExecError> {
@@ -428,7 +381,7 @@ pub fn run_partition_sim_observed(
     let device = Device::zynq7020();
     let plan = partition_observed(&htg, &areas, &device, &popts, observer)?;
 
-    let spec = lower_to_spec(&htg, &plan, &compute_ps);
+    let spec = lower_spec(&htg, &plan, &compute_ps);
     let sim = simulate(&spec, observer)?;
 
     // Functional layer: parallel-but-pure, slot-ordered, so `threads`

@@ -10,8 +10,8 @@
 //! * [`cpu::Cpu`] — the ARM PS as a cost model over interpreter
 //!   statistics (software tasks execute natively/via the kernel
 //!   interpreter; the model converts operation counts into cycles);
-//! * [`accel::AccelInstance`] — a PL accelerator whose *function* is the
-//!   kernel interpreter and whose *timing* comes from its HLS report
+//! * [`accel::AccelInstance`] — a PL accelerator whose *function* runs on
+//!   the lane VM and whose *timing* comes from its HLS report
 //!   (initiation interval × tokens + startup);
 //! * [`board::Board`] — the assembled system: AXI-Stream topology, DMA
 //!   engines, DRAM, accelerators; it executes memory-mapped core
@@ -22,9 +22,8 @@
 //!   streaming-phase timing: every DMA endpoint and accelerator steps one
 //!   PL cycle at a time over integer-occupancy FIFOs, surfacing
 //!   backpressure, starvation and HP-port contention stalls;
-//! * [`sim::TaskSim`] — a discrete-event scheduler on an integer
-//!   picosecond calendar that composes task durations and dependencies
-//!   into an application makespan (used to compare Arch1–4 end to end);
+//! * [`sim`] — the integer-picosecond tick conversions every
+//!   discrete-event calendar in the workspace shares;
 //! * [`multiboard`] — whole-system co-simulation of several boards at
 //!   once, joined by modeled serial stream links, on one deterministic
 //!   `(ps, board, rank, seq)` calendar (used by `accelsoc-partition`
@@ -52,7 +51,6 @@ pub use multiboard::{
     BoardStats, LinkStats, MbLink, MbNode, MultiBoardError, MultiBoardReport, MultiBoardSpec,
     NodeTrace,
 };
-pub use sim::{SimTask, TaskSim, TaskSimResult};
 pub use trace::{trace_phase, Trace, TraceError};
 
 /// PL fabric clock period in nanoseconds (100 MHz).
